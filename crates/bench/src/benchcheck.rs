@@ -5,7 +5,10 @@
 //! counts, chosen allocations/assignments, objectives, contract
 //! booleans) must match; wall-clock fields (`*_ms`, `speedup`) and the
 //! worker-thread count are environment-dependent and ignored, which is
-//! what makes the gate meaningful on a 1-CPU runner. [`check_vendor`]
+//! what makes the gate meaningful on a 1-CPU runner. Wall time is
+//! gated only as a ratio of two legs timed in the same run
+//! ([`RATIO_GATES`]), which survives a noisy runner where absolute
+//! milliseconds do not. [`check_vendor`]
 //! catches the other silent-drift hazard: a `vendor/` stub whose
 //! version no longer matches the pin in `Cargo.lock` (the cargo cache
 //! key hashes both, so a drift would otherwise poison caches quietly).
@@ -16,6 +19,17 @@ use crate::jsonval::{parse, Json};
 /// extra optimizer call or a different chosen allocation fails, loose
 /// enough to absorb last-digit printing differences of float costs.
 const REL_TOL: f64 = 1e-6;
+
+/// Same-run ratio gates on the candidate: `(numerator, denominator,
+/// bound)` leaf paths, requiring `numerator ≤ bound × denominator`.
+/// A gate applies to every candidate that carries either path.
+///
+/// * `BENCH_fleet.json`'s scaled section replays the same batched
+///   event stream with the probe cache uncapped and capped: the cap
+///   may cost recomputation and eviction, but not more than the
+///   uncapped leg's whole time again.
+pub const RATIO_GATES: &[(&str, &str, f64)] =
+    &[("scaled.capped_wall_ms", "scaled.batched_wall_ms", 2.0)];
 
 /// Whether a leaf is environment-dependent and excluded from the diff.
 fn ignored(path: &str) -> bool {
@@ -64,6 +78,22 @@ pub fn compare_reports(baseline: &str, candidate: &str) -> Vec<String> {
     for path in cand_leaves.keys() {
         if !ignored(path) && !base_leaves.contains_key(path) {
             problems.push(format!("{path}: not in baseline (schema drift)"));
+        }
+    }
+    for &(num, den, bound) in RATIO_GATES {
+        match (cand_leaves.get(num), cand_leaves.get(den)) {
+            (None, None) => {}
+            (Some(Json::Num(n)), Some(Json::Num(d))) => {
+                // Written so a NaN leg fails the gate too.
+                let within = *n <= bound * *d;
+                if !within {
+                    problems.push(format!(
+                        "{num} / {den} = {:.2} exceeds the same-run bound {bound}",
+                        n / d
+                    ));
+                }
+            }
+            _ => problems.push(format!("{num} / {den}: both must be numbers")),
         }
     }
     problems
@@ -766,6 +796,44 @@ mod tests {
         assert!(
             compare_reports(BASE, &cand).is_empty(),
             "scaled per-leg wall times must stay unguarded"
+        );
+    }
+
+    /// The shape of `BENCH_fleet.json`'s scaled section, whose two
+    /// leg times [`RATIO_GATES`] compares.
+    fn fleet_report(batched_ms: f64, capped_ms: f64) -> String {
+        format!(
+            r#"{{ "events": 150, "warm_wall_ms": 9000.0,
+  "scaled": {{ "batched_wall_ms": {batched_ms:.1}, "capped_wall_ms": {capped_ms:.1},
+    "probe_evictions": 26054 }} }}"#
+        )
+    }
+
+    #[test]
+    fn capped_leg_within_twice_the_batched_leg_passes() {
+        let base = fleet_report(1500.0, 7500.0);
+        for capped in [1000.0, 1600.0, 3000.0] {
+            let problems = compare_reports(&base, &fleet_report(1500.0, capped));
+            assert!(problems.is_empty(), "capped {capped} ms: {problems:?}");
+        }
+    }
+
+    #[test]
+    fn capped_leg_beyond_twice_the_batched_leg_fails() {
+        let base = fleet_report(1500.0, 1600.0);
+        for (batched, capped) in [(1500.0, 3001.0), (1.0, 7500.0)] {
+            let problems = compare_reports(&base, &fleet_report(batched, capped));
+            assert!(
+                problems
+                    .iter()
+                    .any(|p| p.contains("scaled.capped_wall_ms") && p.contains("same-run bound 2")),
+                "{capped} ms vs {batched} ms must fail: {problems:?}"
+            );
+        }
+        let one_leg = r#"{ "scaled": { "capped_wall_ms": 10.0 } }"#;
+        assert!(
+            !compare_reports(one_leg, one_leg).is_empty(),
+            "a report with only one leg cannot pass the ratio gate"
         );
     }
 

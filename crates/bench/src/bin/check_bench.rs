@@ -5,7 +5,10 @@
 //!     Diff a fresh BENCH_*.json against the committed baseline.
 //!     Deterministic fields (optimizer-call counts, allocations,
 //!     objectives, contract booleans) must match; wall-clock fields
-//!     and thread counts are ignored. Exit 1 on any regression.
+//!     and thread counts are ignored, except that the candidate must
+//!     keep each same-run wall-time ratio in `RATIO_GATES` (the capped
+//!     leg of BENCH_fleet.json's scaled section within 2x the batched
+//!     leg). Exit 1 on any regression.
 //!
 //! check_bench vendor [<Cargo.lock> [<vendor-dir>]]
 //!     Verify every vendor/ stub's version against the Cargo.lock

@@ -81,7 +81,7 @@ use crate::snapshot::{
 use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use rayon::prelude::ParallelMapSlice;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use vda_simdb::engines::EngineKind;
 use vda_workloads::Workload;
 
@@ -487,6 +487,11 @@ impl BatchKinds {
     }
 }
 
+/// Decision latencies a [`ControlPlane`] keeps: the most recent this
+/// many events or batches. Enough for a p99 with 40 samples beyond it,
+/// at 32 KiB, however long the plane runs.
+pub const LATENCY_RING: usize = 4096;
+
 /// The event-driven fleet controller. See the [module docs](self) for
 /// the event lifecycle.
 #[derive(Debug)]
@@ -518,7 +523,9 @@ pub struct ControlPlane {
     /// wall by default, injectable ([`Self::set_clock`]) so tests and
     /// replays get deterministic latency reports.
     clock: Clock,
-    latencies_ms: Vec<f64>,
+    /// The most recent [`LATENCY_RING`] decision latencies, oldest
+    /// first.
+    latencies_ms: VecDeque<f64>,
     optimizer_calls: u64,
     resolves: u64,
     waves: u64,
@@ -561,7 +568,7 @@ impl ControlPlane {
             log,
             seq: 0,
             clock: Clock::wall(),
-            latencies_ms: Vec::new(),
+            latencies_ms: VecDeque::new(),
             optimizer_calls: 0,
             resolves: 0,
             waves: 0,
@@ -653,16 +660,25 @@ impl ControlPlane {
             .sum()
     }
 
-    /// Per-event wall-clock decision latencies (ms) since this process
-    /// started. Deliberately *not* part of snapshots: wall-clock is not
-    /// deterministic state.
-    pub fn latencies_ms(&self) -> &[f64] {
-        &self.latencies_ms
+    /// Wall-clock decision latencies (ms) of the most recent
+    /// [`LATENCY_RING`] events or batches this process handled, oldest
+    /// → newest. Deliberately *not* part of snapshots: wall-clock is
+    /// not deterministic state.
+    pub fn latencies_ms(&self) -> Vec<f64> {
+        self.latencies_ms.iter().copied().collect()
     }
 
     /// Nearest-rank p99 over [`Self::latencies_ms`].
     pub fn p99_latency_ms(&self) -> f64 {
-        percentile(&self.latencies_ms, 99.0)
+        percentile(&self.latencies_ms(), 99.0)
+    }
+
+    /// Append one latency to the ring, dropping the oldest when full.
+    fn record_latency(&mut self, latency_ms: f64) {
+        if self.latencies_ms.len() == LATENCY_RING {
+            self.latencies_ms.pop_front();
+        }
+        self.latencies_ms.push_back(latency_ms);
     }
 
     /// Replace the latency clock. Wall by default; inject a
@@ -740,7 +756,7 @@ impl ControlPlane {
             objective,
         });
         let latency_ms = self.clock.now_ms() - started_ms;
-        self.latencies_ms.push(latency_ms);
+        self.record_latency(latency_ms);
         EventOutcome {
             seq: self.seq,
             action,
@@ -1036,7 +1052,7 @@ impl ControlPlane {
             objective,
         });
         let latency_ms = self.clock.now_ms() - started_ms;
-        self.latencies_ms.push(latency_ms);
+        self.record_latency(latency_ms);
         BatchOutcome {
             seq: self.seq,
             events: events.len(),
@@ -1247,7 +1263,7 @@ impl ControlPlane {
             log,
             seq: snapshot.seq,
             clock: Clock::wall(),
-            latencies_ms: Vec::new(),
+            latencies_ms: VecDeque::new(),
             optimizer_calls: snapshot.optimizer_calls,
             resolves: snapshot.resolves,
             waves: snapshot.waves,
@@ -2153,6 +2169,40 @@ mod tests {
         assert_eq!(snap.log.len(), 1);
         // Latency is measurement, not state: Decision carries none.
         assert!(plane.machine(0).tenant_count() > 0);
+    }
+
+    #[test]
+    fn the_latency_ring_keeps_the_newest_values_at_a_fixed_length() {
+        let mut plane = small_fleet();
+        let clock = Clock::manual();
+        plane.set_clock(clock.clone());
+        // Feed the ring directly: a full ring's worth of events would
+        // make this test slow without exercising anything more.
+        let pushed = LATENCY_RING + 10;
+        for i in 0..pushed {
+            plane.record_latency(i as f64);
+        }
+        let kept = plane.latencies_ms();
+        assert_eq!(kept.len(), LATENCY_RING);
+        assert_eq!(kept[0], 10.0, "the oldest ten were dropped");
+        assert_eq!(kept[LATENCY_RING - 1], (pushed - 1) as f64);
+        assert!(kept.windows(2).all(|w| w[0] < w[1]), "oldest → newest");
+
+        // A real event goes through the same path and keeps the bound.
+        plane.process_event(FleetEvent::WorkloadScaled {
+            machine: 0,
+            slot: 0,
+            factor: 1.2,
+        });
+        let kept = plane.latencies_ms();
+        assert_eq!(kept.len(), LATENCY_RING);
+        assert_eq!(kept[0], 11.0);
+        assert_eq!(kept[LATENCY_RING - 1], 0.0, "the event's latency is newest");
+        assert_eq!(
+            plane.p99_latency_ms(),
+            percentile(&kept, 99.0),
+            "p99 is computed over the ring"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::problem::{AllocKey, Allocation};
 use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vda_simdb::hash::Fnv64;
@@ -176,6 +176,12 @@ impl SharedEstimateCache {
 ///   ascending `(last_used_epoch, model, tenant)` order until the row
 ///   count fits. The key order tie-break makes the victim sequence
 ///   reproducible bit-for-bit across runs and thread counts.
+/// * The cache keeps that order as an index — an ordered set of
+///   `(last_used_epoch, (model, tenant))` entries, moved by every
+///   restamp — plus a running row count. Evicting `k` of `G`
+///   generations costs O(k log G), and [`Self::len`] and
+///   [`Self::approx_bytes`] are O(1). A hit on a generation already
+///   stamped this epoch leaves the index alone.
 ///
 /// Because the cache is strictly read-through (a miss recomputes the
 /// identical deterministic estimate), a capped cache returns the same
@@ -216,14 +222,26 @@ const PROBE_ROW_BYTES: u64 = 64;
 /// and the recency stamp.
 const PROBE_GENERATION_BYTES: u64 = 96;
 
+/// One `(model, tenant)` generation of the probe cache: its rows and
+/// the last logical epoch that read or wrote it.
+#[derive(Debug)]
+struct ProbeGeneration {
+    rows: BTreeMap<AllocKey, Estimate>,
+    last_used: u64,
+}
+
 #[derive(Debug, Default)]
 struct ProbeCacheInner {
     // Ordered for the same reason as `CacheGeneration::map`, and so
     // `export` is deterministic by construction.
-    map: BTreeMap<(u64, u64), BTreeMap<AllocKey, Estimate>>,
-    // Last logical epoch that read or wrote each generation. BTreeMap
-    // so the eviction scan's tie-break is key order, not hash order.
-    last_used: BTreeMap<(u64, u64), u64>,
+    map: BTreeMap<(u64, u64), ProbeGeneration>,
+    // The recency index: one `(last_used, generation)` entry per
+    // generation in `map`, so its first element is always the next
+    // eviction victim in `(last_used_epoch, model, tenant)` order.
+    recency: BTreeSet<(u64, (u64, u64))>,
+    // Sum of every generation's row count, kept current by every
+    // mutation so the row-count queries never walk the map.
+    rows: usize,
     epoch: u64,
     capacity: usize,
     hits: u64,
@@ -232,14 +250,52 @@ struct ProbeCacheInner {
 }
 
 impl ProbeCacheInner {
-    fn rows(&self) -> usize {
-        self.map.values().map(BTreeMap::len).sum()
+    /// Store one row under its generation and stamp the generation.
+    fn upsert(&mut self, model: u64, tenant: u64, key: AllocKey, estimate: Estimate) {
+        let gen = (model, tenant);
+        let epoch = self.epoch;
+        let g = self.map.entry(gen).or_insert_with(|| {
+            self.recency.insert((epoch, gen));
+            ProbeGeneration {
+                rows: BTreeMap::new(),
+                last_used: epoch,
+            }
+        });
+        if g.rows.insert(key, estimate).is_none() {
+            self.rows += 1;
+        }
+        stamp(&mut self.recency, gen, g, epoch);
     }
 
-    fn touch(&mut self, model: u64, tenant: u64) {
-        let epoch = self.epoch;
-        self.last_used.insert((model, tenant), epoch);
+    /// Drop every generation `keep` rejects, with its recency entry.
+    fn retain(&mut self, keep: impl Fn(&(u64, u64)) -> bool) {
+        let (recency, rows) = (&mut self.recency, &mut self.rows);
+        self.map.retain(|gen, g| {
+            let kept = keep(gen);
+            if !kept {
+                recency.remove(&(g.last_used, *gen));
+                *rows -= g.rows.len();
+            }
+            kept
+        });
     }
+}
+
+/// Restamp `g` with `epoch`, moving its recency-index entry. A
+/// generation already stamped this epoch is left alone, so repeated
+/// hits inside one solve wave cost one comparison.
+fn stamp(
+    recency: &mut BTreeSet<(u64, (u64, u64))>,
+    gen: (u64, u64),
+    g: &mut ProbeGeneration,
+    epoch: u64,
+) {
+    if g.last_used == epoch {
+        return;
+    }
+    recency.remove(&(g.last_used, gen));
+    recency.insert((epoch, gen));
+    g.last_used = epoch;
 }
 
 impl ProbeCache {
@@ -252,17 +308,18 @@ impl ProbeCache {
     /// counting the lookup as a hit or a miss. A hit refreshes the
     /// generation's recency stamp (see the eviction policy above).
     fn get(&self, model: u64, tenant: u64, key: AllocKey) -> Option<Estimate> {
-        let mut inner = self.inner.lock();
-        let hit = inner
-            .map
-            .get(&(model, tenant))
-            .and_then(|g| g.get(&key))
-            .copied();
-        match hit {
-            Some(_) => {
-                inner.hits += 1;
-                inner.touch(model, tenant);
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let gen = (model, tenant);
+        let hit = inner.map.get_mut(&gen).and_then(|g| {
+            let est = g.rows.get(&key).copied();
+            if est.is_some() {
+                stamp(&mut inner.recency, gen, g, inner.epoch);
             }
+            est
+        });
+        match hit {
+            Some(_) => inner.hits += 1,
             None => inner.misses += 1,
         }
         hit
@@ -271,13 +328,7 @@ impl ProbeCache {
     /// Store an estimate under its (model, tenant) generation,
     /// stamping the generation with the current epoch.
     fn insert(&self, model: u64, tenant: u64, key: AllocKey, estimate: Estimate) {
-        let mut inner = self.inner.lock();
-        inner
-            .map
-            .entry((model, tenant))
-            .or_default()
-            .insert(key, estimate);
-        inner.touch(model, tenant);
+        self.inner.lock().upsert(model, tenant, key, estimate);
     }
 
     /// All cached (allocation, estimate) pairs of one generation.
@@ -287,7 +338,8 @@ impl ProbeCache {
             .map
             .get(&(model, tenant))
             .map(|g| {
-                g.iter()
+                g.rows
+                    .iter()
                     .map(|(&key, &est)| (Allocation::from_key(key), est))
                     .collect()
             })
@@ -302,11 +354,9 @@ impl ProbeCache {
     /// recalibrations and are dropped here too once the tenant's
     /// workload moves on.)
     pub fn retain_tenants(&self, live: &std::collections::HashSet<u64>) {
-        let mut inner = self.inner.lock();
-        inner.map.retain(|&(_, tenant), _| live.contains(&tenant));
-        inner
-            .last_used
-            .retain(|&(_, tenant), _| live.contains(&tenant));
+        self.inner
+            .lock()
+            .retain(|&(_, tenant)| live.contains(&tenant));
     }
 
     /// Drop every generation whose *model* fingerprint is not in
@@ -317,11 +367,9 @@ impl ProbeCache {
     /// with the fingerprints of the calibrations still installed
     /// somewhere in the fleet whenever machines are decommissioned.
     pub fn retain_models(&self, live: &std::collections::HashSet<u64>) {
-        let mut inner = self.inner.lock();
-        inner.map.retain(|&(model, _), _| live.contains(&model));
-        inner
-            .last_used
-            .retain(|&(model, _), _| live.contains(&model));
+        self.inner
+            .lock()
+            .retain(|&(model, _)| live.contains(&model));
     }
 
     /// Every cached entry, flattened to `(model fingerprint, tenant
@@ -335,7 +383,9 @@ impl ProbeCache {
             .map
             .iter()
             .flat_map(|(&(model, tenant), g)| {
-                g.iter().map(move |(&key, &est)| (model, tenant, key, est))
+                g.rows
+                    .iter()
+                    .map(move |(&key, &est)| (model, tenant, key, est))
             })
             .collect();
         rows.sort_by_key(|r| (r.0, r.1, r.2));
@@ -352,12 +402,7 @@ impl ProbeCache {
     pub fn import(&self, rows: &[(u64, u64, AllocKey, Estimate)]) {
         let mut inner = self.inner.lock();
         for &(model, tenant, key, est) in rows {
-            inner
-                .map
-                .entry((model, tenant))
-                .or_default()
-                .insert(key, est);
-            inner.touch(model, tenant);
+            inner.upsert(model, tenant, key, est);
         }
     }
 
@@ -390,27 +435,25 @@ impl ProbeCache {
     /// identical across runs and thread counts. Must only be called at
     /// serial sync points (the control plane calls it after each event
     /// or batch, never from inside a solve wave).
+    ///
+    /// Victims come off the front of the recency index, so evicting
+    /// `k` generations out of `G` costs O(k log G).
     pub fn enforce_capacity(&self) -> u64 {
         let mut inner = self.inner.lock();
         if inner.capacity == 0 {
             return 0;
         }
         let mut evicted = 0u64;
-        while inner.rows() > inner.capacity {
-            let victim = inner
+        while inner.rows > inner.capacity {
+            let Some((_, gen)) = inner.recency.pop_first() else {
+                break;
+            };
+            let g = inner
                 .map
-                .keys()
-                .map(|&gen| (inner.last_used.get(&gen).copied().unwrap_or(0), gen))
-                .min()
-                .map(|(_, gen)| gen);
-            match victim {
-                Some(gen) => {
-                    let rows = inner.map.remove(&gen).map(|g| g.len()).unwrap_or(0) as u64;
-                    inner.last_used.remove(&gen);
-                    evicted += rows;
-                }
-                None => break,
-            }
+                .remove(&gen)
+                .expect("indexed generations are cached");
+            inner.rows -= g.rows.len();
+            evicted += g.rows.len() as u64;
         }
         inner.evictions += evicted;
         evicted
@@ -428,7 +471,7 @@ impl ProbeCache {
     /// counts, not a heap measurement.
     pub fn approx_bytes(&self) -> u64 {
         let inner = self.inner.lock();
-        inner.rows() as u64 * PROBE_ROW_BYTES + inner.map.len() as u64 * PROBE_GENERATION_BYTES
+        inner.rows as u64 * PROBE_ROW_BYTES + inner.map.len() as u64 * PROBE_GENERATION_BYTES
     }
 
     /// Cache hits recorded over the cache's lifetime.
@@ -443,7 +486,7 @@ impl ProbeCache {
 
     /// Total cached estimates across all generations.
     pub fn len(&self) -> usize {
-        self.inner.lock().rows()
+        self.inner.lock().rows
     }
 
     /// Whether the cache holds no entries.
@@ -1045,5 +1088,231 @@ mod tests {
         est.cost(Allocation::new(0.75, 0.5));
         let samples = est.samples();
         assert_eq!(samples.len(), 2);
+    }
+
+    /// The eviction policy as it stood before the recency index: plain
+    /// recency stamps, the row count recomputed and every generation
+    /// min-scanned per victim. A reference oracle for the indexed
+    /// cache; it tracks keys only, since eviction never looks at
+    /// estimates.
+    #[derive(Debug, Default)]
+    struct MinScanOracle {
+        map: BTreeMap<(u64, u64), BTreeSet<AllocKey>>,
+        last_used: BTreeMap<(u64, u64), u64>,
+        epoch: u64,
+        capacity: usize,
+        evictions: u64,
+    }
+
+    impl MinScanOracle {
+        fn rows(&self) -> usize {
+            self.map.values().map(BTreeSet::len).sum()
+        }
+
+        fn touch(&mut self, gen: (u64, u64)) {
+            self.last_used.insert(gen, self.epoch);
+        }
+
+        /// One estimator lookup: a hit restamps, a miss inserts.
+        fn estimate(&mut self, gen: (u64, u64), key: AllocKey) {
+            self.map.entry(gen).or_default().insert(key);
+            self.touch(gen);
+        }
+
+        fn retain(&mut self, keep: impl Fn(&(u64, u64)) -> bool) {
+            self.map.retain(|gen, _| keep(gen));
+            self.last_used.retain(|gen, _| keep(gen));
+        }
+
+        fn enforce_capacity(&mut self) -> u64 {
+            if self.capacity == 0 {
+                return 0;
+            }
+            let mut evicted = 0u64;
+            while self.rows() > self.capacity {
+                let victim = self
+                    .map
+                    .keys()
+                    .map(|&gen| (self.last_used.get(&gen).copied().unwrap_or(0), gen))
+                    .min()
+                    .map(|(_, gen)| gen);
+                match victim {
+                    Some(gen) => {
+                        evicted += self.map.remove(&gen).map_or(0, |g| g.len()) as u64;
+                        self.last_used.remove(&gen);
+                    }
+                    None => break,
+                }
+            }
+            self.evictions += evicted;
+            evicted
+        }
+
+        fn approx_bytes(&self) -> u64 {
+            self.rows() as u64 * PROBE_ROW_BYTES + self.map.len() as u64 * PROBE_GENERATION_BYTES
+        }
+    }
+
+    /// Compare the indexed cache with the oracle and check the index's
+    /// own invariants: same generations, keys and stamps, a running
+    /// row count equal to the sum over generations, and one recency
+    /// entry per generation.
+    fn assert_matches_oracle(cache: &ProbeCache, oracle: &MinScanOracle, step: usize) {
+        assert_eq!(cache.len(), oracle.rows(), "step {step}: len");
+        assert_eq!(
+            cache.approx_bytes(),
+            oracle.approx_bytes(),
+            "step {step}: bytes"
+        );
+        assert_eq!(
+            cache.evictions(),
+            oracle.evictions,
+            "step {step}: evictions"
+        );
+        let inner = cache.inner.lock();
+        let summed: usize = inner.map.values().map(|g| g.rows.len()).sum();
+        assert_eq!(inner.rows, summed, "step {step}: running row count");
+        let gens: BTreeMap<(u64, u64), (u64, BTreeSet<AllocKey>)> = inner
+            .map
+            .iter()
+            .map(|(&gen, g)| (gen, (g.last_used, g.rows.keys().copied().collect())))
+            .collect();
+        let expected: BTreeMap<(u64, u64), (u64, BTreeSet<AllocKey>)> = oracle
+            .map
+            .iter()
+            .map(|(&gen, keys)| (gen, (oracle.last_used[&gen], keys.clone())))
+            .collect();
+        assert_eq!(gens, expected, "step {step}: generations, stamps or rows");
+        let index: BTreeSet<(u64, (u64, u64))> = inner
+            .map
+            .iter()
+            .map(|(&gen, g)| (g.last_used, gen))
+            .collect();
+        assert_eq!(inner.recency, index, "step {step}: recency index");
+    }
+
+    mod eviction_equivalence {
+        use super::*;
+        use crate::costmodel::adaptive::{Adaption, AxisCorrection};
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        /// Synthetic fingerprints for imported generations, next to the
+        /// real ones the estimators probe under.
+        const SYNTHETIC: [u64; 2] = [1, 2];
+        const SHARES: [f64; 3] = [0.25, 0.5, 0.75];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Random interleavings of every cache mutation: the
+            /// indexed cache evicts exactly the generations the
+            /// min-scan oracle evicts, in the same order, and agrees
+            /// on every counter after every step.
+            #[test]
+            fn indexed_eviction_matches_the_min_scan_oracle(
+                ops in proptest::collection::vec((0u32..8, 0usize..64, 0usize..64), 20..60),
+            ) {
+                let hv = Hypervisor::new(PhysicalMachine::paper_testbed());
+                let tenants: Vec<Tenant> = [6usize, 14]
+                    .iter()
+                    .map(|&q| {
+                        Tenant::new(
+                            format!("q{q}"),
+                            Engine::pg(),
+                            tpch::catalog(1.0),
+                            tpch::query_workload(q, 1.0),
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                let base = Calibrator::new(&hv).calibrate(&Engine::pg());
+                let models: Vec<CalibratedModel> = (0..2u64)
+                    .map(|version| {
+                        base.clone().with_adaption(Adaption {
+                            correction: AxisCorrection::scale_only(1.25),
+                            version,
+                        })
+                    })
+                    .collect();
+                let model_ids: Vec<u64> = models
+                    .iter()
+                    .map(CalibratedModel::fingerprint)
+                    .chain(SYNTHETIC)
+                    .collect();
+                let tenant_ids: Vec<u64> = tenants
+                    .iter()
+                    .map(Tenant::fingerprint)
+                    .chain(SYNTHETIC)
+                    .collect();
+                let subset = |ids: &[u64], mask: usize| -> HashSet<u64> {
+                    ids.iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, &id)| id)
+                        .collect()
+                };
+
+                let cache = ProbeCache::new();
+                let mut oracle = MinScanOracle::default();
+                for (step, &(op, a, b)) in ops.iter().enumerate() {
+                    match op {
+                        // Epochs repeat and move backwards, so
+                        // same-epoch restamps are common.
+                        0 => {
+                            cache.set_epoch(a as u64 % 6);
+                            oracle.epoch = a as u64 % 6;
+                        }
+                        1 | 2 => {
+                            let (m, t) = (a % models.len(), b % tenants.len());
+                            let alloc = Allocation::new(SHARES[a % SHARES.len()], 0.5);
+                            WhatIfEstimator::with_probe_cache(&tenants[t], &models[m], cache.clone())
+                                .estimate(alloc);
+                            oracle.estimate((model_ids[m], tenant_ids[t]), alloc.key());
+                        }
+                        3 => {
+                            let gen = (model_ids[a % model_ids.len()], tenant_ids[b % tenant_ids.len()]);
+                            let rows: Vec<_> = (0..1 + b % 3)
+                                .map(|k| {
+                                    let key = [a as u32 % 3 + k as u32, 0, 0, 0];
+                                    let est = Estimate {
+                                        seconds: 1.0,
+                                        plan_regime: 0,
+                                        avg_cost_per_statement: 1.0,
+                                    };
+                                    (gen.0, gen.1, key, est)
+                                })
+                                .collect();
+                            cache.import(&rows);
+                            for r in &rows {
+                                oracle.estimate((r.0, r.1), r.2);
+                            }
+                        }
+                        4 => {
+                            let live = subset(&tenant_ids, a);
+                            cache.retain_tenants(&live);
+                            oracle.retain(|&(_, t)| live.contains(&t));
+                        }
+                        5 => {
+                            let live = subset(&model_ids, a);
+                            cache.retain_models(&live);
+                            oracle.retain(|&(m, _)| live.contains(&m));
+                        }
+                        6 => {
+                            cache.set_capacity(b % 12);
+                            oracle.capacity = b % 12;
+                        }
+                        _ => {
+                            prop_assert_eq!(
+                                cache.enforce_capacity(),
+                                oracle.enforce_capacity(),
+                                "step {}: rows evicted", step
+                            );
+                        }
+                    }
+                    assert_matches_oracle(&cache, &oracle, step);
+                }
+            }
+        }
     }
 }
