@@ -182,6 +182,44 @@ mod tests {
         assert!(Tenant::new("t", Engine::pg(), tpch::catalog(1.0), w).is_err());
     }
 
+    /// A workload statement joining `n` copies of `nation`, each
+    /// edge-connected to the previous one.
+    fn nation_chain(n: usize) -> Workload {
+        let from: Vec<String> = (0..n).map(|i| format!("nation n{i}")).collect();
+        let joins: Vec<String> = (1..n)
+            .map(|i| format!("n{}.n_nationkey = n{i}.n_nationkey", i - 1))
+            .collect();
+        let mut w = Workload::new(format!("nation x{n}"));
+        w.push(WorkloadStatement::dss(
+            format!(
+                "SELECT count(*) FROM {} WHERE {}",
+                from.join(", "),
+                joins.join(" AND ")
+            ),
+            1.0,
+        ));
+        w
+    }
+
+    #[test]
+    fn rejects_query_blocks_over_the_join_limit() {
+        let limit = vda_simdb::optimizer::MAX_JOIN_RELATIONS;
+        let over = Tenant::new(
+            "t",
+            Engine::pg(),
+            tpch::catalog(1.0),
+            nation_chain(limit + 1),
+        );
+        assert!(matches!(over, Err(vda_simdb::DbError::Bind(_))));
+
+        let at_limit =
+            Tenant::new("t", Engine::pg(), tpch::catalog(1.0), nation_chain(limit)).unwrap();
+        assert_eq!(at_limit.statements()[0].query.relations.len(), limit);
+        let hv = Hypervisor::new(PhysicalMachine::paper_testbed());
+        let cost = at_limit.actual_cost(&hv, Allocation::new(0.5, 0.5));
+        assert!(cost.is_finite() && cost > 0.0);
+    }
+
     #[test]
     fn actual_cost_scales_with_count() {
         let hv = Hypervisor::new(PhysicalMachine::paper_testbed());

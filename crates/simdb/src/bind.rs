@@ -14,6 +14,7 @@
 
 use crate::catalog::Catalog;
 use crate::hash::fnv1a;
+use crate::optimizer::MAX_JOIN_RELATIONS;
 use crate::sql::{parse_statement, BinOp, ColRef, Expr, SelectItem, SelectStmt, Statement};
 use crate::{DbError, Result};
 
@@ -351,6 +352,12 @@ impl<'a> Binder<'a> {
     }
 
     fn bind_select(&self, stmt: &SelectStmt, outer: &[OuterAlias]) -> Result<BoundQuery> {
+        if stmt.from.len() > MAX_JOIN_RELATIONS {
+            return Err(DbError::Bind(format!(
+                "a query block joins {} relations; at most {MAX_JOIN_RELATIONS} are supported",
+                stmt.from.len()
+            )));
+        }
         let mut scope = Scope {
             relations: Vec::new(),
             joins: Vec::new(),
@@ -1280,5 +1287,40 @@ mod tests {
         let c = bind_statement("SELECT count(*) FROM lineitem", &cat()).unwrap();
         assert_eq!(a.id, b.id);
         assert_ne!(a.id, c.id);
+    }
+
+    /// `FROM orders o0, orders o1, …` over `n` aliases.
+    fn orders_from(n: usize) -> String {
+        (0..n)
+            .map(|i| format!("orders o{i}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+
+    #[test]
+    fn query_blocks_over_the_join_limit_are_rejected() {
+        let limit = MAX_JOIN_RELATIONS;
+        let at_limit = format!("SELECT count(*) FROM {}", orders_from(limit));
+        assert_eq!(
+            bind_statement(&at_limit, &cat()).unwrap().relations.len(),
+            limit
+        );
+
+        let over = format!("SELECT count(*) FROM {}", orders_from(limit + 1));
+        assert!(matches!(
+            bind_statement(&over, &cat()),
+            Err(DbError::Bind(_))
+        ));
+
+        // A subquery block is held to the same limit.
+        let nested = format!(
+            "SELECT count(*) FROM lineitem l WHERE l.l_orderkey IN \
+             (SELECT o0.o_orderkey FROM {})",
+            orders_from(limit + 1)
+        );
+        assert!(matches!(
+            bind_statement(&nested, &cat()),
+            Err(DbError::Bind(_))
+        ));
     }
 }

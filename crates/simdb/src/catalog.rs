@@ -134,11 +134,12 @@ impl Catalog {
         self.tables.values()
     }
 
-    /// The index over `table.column`, if any.
+    /// The index over `table.column`, if any. The arguments match in
+    /// any ASCII case; the stored names are compared as stored.
     pub fn index_on(&self, table: &str, column: &str) -> Option<&IndexDef> {
-        let t = table.to_ascii_lowercase();
-        let c = column.to_ascii_lowercase();
-        self.indexes.iter().find(|i| i.table == t && i.column == c)
+        self.indexes
+            .iter()
+            .find(|i| eq_lowercased(&i.table, table) && eq_lowercased(&i.column, column))
     }
 
     /// All indexes over `table`.
@@ -160,6 +161,17 @@ impl Catalog {
     pub fn signature(&self) -> u64 {
         crate::hash::fnv1a(&format!("{:?}", self))
     }
+}
+
+/// Whether `stored == arg.to_ascii_lowercase()`, without allocating.
+/// Deliberately one-sided: a stored name that is not lower-case (a
+/// deserialized catalog may hold one) matches no argument.
+fn eq_lowercased(stored: &str, arg: &str) -> bool {
+    stored.len() == arg.len()
+        && stored
+            .bytes()
+            .zip(arg.bytes())
+            .all(|(s, a)| s == a.to_ascii_lowercase())
 }
 
 /// Convenience builder for tests and workload catalogs.
@@ -255,6 +267,25 @@ mod tests {
         assert!(cat.index_on("orders", "o_orderkey").is_some());
         assert!(cat.index_on("orders", "o_custkey").is_none());
         assert_eq!(cat.indexes_for("orders").count(), 1);
+    }
+
+    #[test]
+    fn index_lookup_lowercases_only_the_arguments() {
+        let cat = sample();
+        let pk = cat.index_on("orders", "o_orderkey");
+        assert!(pk.is_some());
+        assert_eq!(cat.index_on("ORDERS", "O_OrderKey"), pk);
+        assert_eq!(cat.index_on("Orders", "o_orderkeY"), pk);
+        assert!(cat.index_on("orders", "o_orderke").is_none());
+        assert!(cat.index_on("orders", "o_orderkeys").is_none());
+        assert!(cat.index_on("o_orderkey", "orders").is_none());
+
+        // A deserialized catalog may store a name that is not
+        // lower-case; it matches no argument, whatever its case.
+        let mut raw = cat.clone();
+        raw.indexes[0].column = "O_OrderKey".into();
+        assert!(raw.index_on("orders", "O_OrderKey").is_none());
+        assert!(raw.index_on("orders", "o_orderkey").is_none());
     }
 
     #[test]
