@@ -228,7 +228,7 @@ impl VirtualizationDesignAdvisor {
     /// refit, so a migration never forces a recalibration the paper
     /// says is unnecessary). Across *non-identical* machines the model
     /// is demoted to a what-if prior: the destination must calibrate
-    /// for itself ([`Self::ensure_calibrated`], or a fleet manager
+    /// for itself ([`Self::ensure_calibrated`], or the control plane
     /// installing a per-class model via [`Self::install_calibration`])
     /// and the refined model is rebuilt lazily by the usual refinement
     /// rounds. Cached estimates move along only while they remain
@@ -355,9 +355,9 @@ impl VirtualizationDesignAdvisor {
 
     /// Install a calibrated model for `kind` (replacing any existing
     /// one) and cold-start the estimate caches of that kind's tenants.
-    /// The fleet manager uses this to share one per-machine-class
-    /// calibration across machines of identical hardware instead of
-    /// refitting on every migration.
+    /// The [`ControlPlane`](crate::controlplane::ControlPlane) uses
+    /// this to share one per-machine-class calibration across machines
+    /// of identical hardware instead of refitting on every migration.
     pub fn install_calibration(&mut self, kind: EngineKind, model: CalibratedModel) {
         match self.models.iter_mut().find(|(k, _)| *k == kind) {
             Some((_, m)) => {
@@ -552,34 +552,6 @@ impl VirtualizationDesignAdvisor {
     /// simulation's ground truth.
     pub fn actual_cost(&self, i: usize, alloc: Allocation) -> f64 {
         self.tenants[i].actual_cost(&self.hv, alloc)
-    }
-
-    /// Price tenant `i` at `alloc`, observe the executor's actual, and
-    /// record the residual into `storage`. The prediction is reduced to
-    /// the **base** (un-adapted) model — any
-    /// [`Adaption`](crate::costmodel::Adaption) overlay on the
-    /// installed calibration is divided back out — so refits over the
-    /// store always correct the analytic fit, never a correction of a
-    /// correction (the same rule the control plane's
-    /// `ActualsReported` path follows). Returns `(base predicted,
-    /// actual)` seconds.
-    pub fn record_actual(
-        &self,
-        i: usize,
-        alloc: Allocation,
-        storage: &mut crate::costmodel::RuntimeAdaptionStorage,
-    ) -> (f64, f64) {
-        let est = self.estimator(i);
-        let installed = est.estimate(alloc).seconds;
-        let kind = self.tenants[i].engine.kind();
-        let factor = self
-            .calibration(kind)
-            .and_then(|model| model.adaption)
-            .map_or(1.0, |a| a.factor(alloc));
-        let predicted = installed / factor;
-        let actual = self.actual_cost(i, alloc);
-        storage.record(self.tenants[i].fingerprint(), alloc, predicted, actual);
-        (predicted, actual)
     }
 
     /// Total actual cost over all tenants for a full allocation vector.

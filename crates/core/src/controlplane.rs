@@ -1,14 +1,14 @@
 //! The sharded fleet **control plane**: event-driven re-optimization
 //! at production scale.
 //!
-//! [`FleetManager`](crate::dynamic::FleetManager) runs the paper's §6
-//! loop as synchronous monitoring periods: every machine re-solves
-//! every period. That is the right shape for tens of machines and the
-//! paper's experiments, but a fleet of hundreds of machines and
-//! thousands of tenants does not change in lockstep — it emits a
-//! stream of *events* (a workload drifts, a tenant arrives or leaves,
-//! a machine is decommissioned), and only a handful of machines are
-//! affected by each one. [`ControlPlane`] is the event-driven layer:
+//! [`DynamicConfigManager`](crate::dynamic::DynamicConfigManager) runs
+//! the paper's §6 loop on one machine as synchronous monitoring
+//! periods. A fleet of hundreds of machines and thousands of tenants
+//! does not change in lockstep — it emits a stream of *events* (a
+//! workload drifts, a tenant arrives or leaves, a machine is
+//! decommissioned), and only a handful of machines are affected by
+//! each one. [`ControlPlane`] is the fleet engine, and it is
+//! event-driven:
 //!
 //! 1. **Shard** the fleet by pricing class
 //!    ([`MachineClass::of`]`(space).salted(hardware)` — see
@@ -67,7 +67,6 @@ use crate::advisor::{Recommendation, VirtualizationDesignAdvisor};
 use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdaptionStorage};
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
-use crate::dynamic::{migration_gain, two_mut, Migration};
 use crate::enumerate::{
     try_coarse_to_fine_search_with, CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
 };
@@ -81,6 +80,7 @@ use crate::snapshot::{
 use crate::tenant::Tenant;
 use parking_lot::Mutex;
 use rayon::prelude::ParallelMapSlice;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use vda_simdb::engines::EngineKind;
 use vda_workloads::Workload;
@@ -232,6 +232,25 @@ impl Default for ControlPlaneOptions {
             adaptive: None,
         }
     }
+}
+
+/// One executed cross-machine migration.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Migration {
+    /// Name of the migrated tenant.
+    pub tenant: String,
+    /// Source machine.
+    pub from: usize,
+    /// Destination machine.
+    pub to: usize,
+    /// Relative fleet-objective improvement the estimators promised.
+    pub estimated_gain: f64,
+    /// Whether the move crossed hardware classes, demoting the
+    /// tenant's calibrated model to a what-if prior and installing the
+    /// destination class's calibration (`false` when the model
+    /// traveled or the destination was already calibrated — see
+    /// [`crate::advisor::TransferCalibration`]).
+    pub recalibrated: bool,
 }
 
 /// One entry of the durable decision log: what an event (or batch)
@@ -1628,8 +1647,7 @@ impl ControlPlane {
 
     /// Make sure the registry holds a model for machine `d`'s hardware
     /// class and `kind`, fitting on `d` if needed (the engine instance
-    /// comes from the migration-source tenant, like
-    /// [`crate::dynamic::FleetManager`] does).
+    /// comes from the migration-source tenant).
     fn ensure_class_model_for(&mut self, d: usize, kind: EngineKind, source: (usize, usize)) {
         let hw = self.hardware_class(d);
         if let Some(model) = self.machines[d].calibration(kind) {
@@ -1931,6 +1949,41 @@ impl ControlPlane {
     }
 }
 
+/// Smallest fleet objective the relative migration gain may be
+/// divided by. A fleet objective near zero (all tenants idle) would
+/// otherwise turn float dust in the subtraction into an arbitrarily
+/// large relative "gain" and trigger a pointless migration.
+const MIGRATION_BASE_FLOOR: f64 = 1e-6;
+
+/// Smallest absolute objective improvement that counts as a migration
+/// gain at all — the absolute half of the absolute-plus-relative gate.
+const MIGRATION_MIN_IMPROVEMENT: f64 = 1e-9;
+
+/// Relative improvement of moving the fleet objective from `base` to
+/// `obj`, gated absolute-plus-relative: `None` unless the improvement
+/// clears [`MIGRATION_MIN_IMPROVEMENT`], and the denominator is
+/// bounded below by [`MIGRATION_BASE_FLOOR`] so a near-zero `base`
+/// cannot manufacture a spurious gain.
+fn migration_gain(base: f64, obj: f64) -> Option<f64> {
+    let improvement = base - obj;
+    if !improvement.is_finite() || improvement <= MIGRATION_MIN_IMPROVEMENT {
+        return None;
+    }
+    Some(improvement / base.abs().max(MIGRATION_BASE_FLOOR))
+}
+
+/// Distinct mutable borrows of two vector slots.
+fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
+    assert_ne!(a, b);
+    if a < b {
+        let (lo, hi) = v.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2225,6 +2278,126 @@ mod tests {
         });
         assert_eq!(plane.latencies_ms(), &[0.0, 0.0]);
         assert_eq!(plane.p99_latency_ms(), 0.0);
+    }
+
+    /// Machine 0 hosts a light and a heavy tenant, machine 1 a light
+    /// one (`fast` hardware and a db2 tenant when `cross_class`). Then
+    /// tenant "a" on machine 0 turns heavy: a major change that leaves
+    /// machine 0 with two heavy tenants.
+    fn drift_a_heavy(
+        cross_class: bool,
+        options: ControlPlaneOptions,
+    ) -> (ControlPlane, EventOutcome) {
+        let loaded = machine_with(&[("a", 6, 1.0), ("b", 18, 4.0)]);
+        let light = if cross_class {
+            let mut fast = PhysicalMachine::paper_testbed();
+            fast.core_ghz *= 2.0;
+            let mut adv = machine_on(fast, &[]);
+            adv.add_tenant(
+                Tenant::new(
+                    "c",
+                    Engine::db2(),
+                    tpch::catalog(0.1),
+                    tpch::query_workload(6, 1.0),
+                )
+                .unwrap(),
+                QoS::default(),
+            );
+            adv
+        } else {
+            machine_with(&[("c", 6, 1.0)])
+        };
+        let spaces = vec![SearchSpace::cpu_only(0.25); 2];
+        let mut plane = ControlPlane::new(vec![loaded, light], spaces, options);
+        let outcome = plane.process_event(FleetEvent::WorkloadChanged {
+            machine: 0,
+            slot: 0,
+            workload: tpch::query_workload(18, 4.0),
+        });
+        (plane, outcome)
+    }
+
+    #[test]
+    fn major_change_on_a_loaded_machine_migrates_and_cuts_the_objective() {
+        // Identical hardware: even a prohibitive surcharge must not gate
+        // the move, since only cross-class moves pay it.
+        let (plane, outcome) = drift_a_heavy(
+            false,
+            ControlPlaneOptions {
+                recalibration_surcharge: 1e9,
+                ..ControlPlaneOptions::default()
+            },
+        );
+        assert!(outcome.action.contains("major"), "{}", outcome.action);
+        let mig = outcome.migration.as_ref().expect("expected a migration");
+        assert_eq!(mig.tenant, "a");
+        assert_eq!((mig.from, mig.to), (0, 1));
+        assert!(mig.estimated_gain > plane.options().migration_threshold);
+        assert!(!mig.recalibrated, "same hardware class: model travels");
+        assert_eq!(plane.machine(0).tenant_count(), 1);
+        assert_eq!(plane.machine(1).tenant_count(), 2);
+        assert!(plane.machine(1).is_calibrated());
+        // The same event with no move allowed leaves the estimated
+        // objective the migration had to beat.
+        let (stay, _) = drift_a_heavy(
+            false,
+            ControlPlaneOptions {
+                migration_threshold: 1e9,
+                ..ControlPlaneOptions::default()
+            },
+        );
+        assert!(
+            plane.objective() < stay.objective(),
+            "migration must cut the estimated objective: {} vs {}",
+            plane.objective(),
+            stay.objective()
+        );
+    }
+
+    #[test]
+    fn migration_threshold_gates_disruptive_moves() {
+        let (plane, outcome) = drift_a_heavy(
+            false,
+            ControlPlaneOptions {
+                migration_threshold: 1e9, // nothing clears this bar
+                ..ControlPlaneOptions::default()
+            },
+        );
+        assert!(outcome.action.contains("major"), "{}", outcome.action);
+        assert!(outcome.migration.is_none(), "{outcome:?}");
+        assert_eq!(plane.machine(0).tenant_count(), 2);
+        assert_eq!(plane.stats().migrations, 0);
+    }
+
+    #[test]
+    fn cross_class_migration_recalibrates_on_the_destination() {
+        // The destination is different hardware with no pg calibration,
+        // so the moved tenant's model cannot travel: the plane installs
+        // the destination class's own fit.
+        let (plane, outcome) = drift_a_heavy(
+            true,
+            ControlPlaneOptions {
+                migration_threshold: 0.01,
+                ..ControlPlaneOptions::default()
+            },
+        );
+        let mig = outcome.migration.as_ref().expect("expected a migration");
+        assert_eq!((mig.from, mig.to), (0, 1));
+        assert!(
+            mig.recalibrated,
+            "cross-hardware migration must recalibrate: {mig:?}"
+        );
+        assert!(
+            mig.estimated_gain
+                > plane.options().migration_threshold + plane.options().recalibration_surcharge
+        );
+        let pg = plane.machine(0).tenant(0).engine.kind();
+        let installed = plane.machine(1).calibration(pg).expect("pg calibration");
+        assert_ne!(
+            Some(installed),
+            plane.machine(0).calibration(pg),
+            "destination must not reuse a model fit on different hardware"
+        );
     }
 
     #[test]
@@ -2766,5 +2939,27 @@ mod tests {
             resumed.adaption_storages().keys().collect::<Vec<_>>(),
             plane.adaption_storages().keys().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn migration_gain_is_robust_near_zero_objectives() {
+        // A near-zero base objective used to manufacture huge relative
+        // gains out of float dust (the old gate divided by `base`
+        // unguarded). The absolute-plus-relative gate must reject
+        // noise-sized improvements outright...
+        assert_eq!(migration_gain(1e-12, 0.0), None);
+        assert_eq!(migration_gain(0.0, -1e-12), None);
+        // ...and scale dust-sized improvements by the floor, not the
+        // tiny base: 1e-8 improvement on a 1e-10 base is a 1e8×
+        // relative gain by the old math, but far below any plausible
+        // migration threshold with the floored denominator.
+        let g = migration_gain(1e-10, -1e-8 + 1e-10).unwrap();
+        assert!(g < 0.05, "spurious gain {g}");
+        // Regressions and no-ops are never gains.
+        assert_eq!(migration_gain(10.0, 10.0), None);
+        assert_eq!(migration_gain(10.0, 12.0), None);
+        // Real improvements keep their usual relative value.
+        let g = migration_gain(10.0, 9.0).unwrap();
+        assert!((g - 0.1).abs() < 1e-12);
     }
 }

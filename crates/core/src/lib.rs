@@ -38,8 +38,11 @@
 //!    resource scales, subset solves memoized per
 //!    [`enumerate::MachineClass`]) — via marginal-benefit bin-packing
 //!    plus swap/migrate local search over per-machine inner solves.
-//!    [`dynamic::FleetManager`] lets major workload changes trigger
-//!    live migrations with explicit calibration management
+//! 8. **Fleet control plane** ([`controlplane::ControlPlane`]): the
+//!    one fleet engine running §6 across machines. It re-solves only
+//!    the machines an event touches, and lets major workload changes
+//!    and arrivals trigger live migrations with explicit calibration
+//!    management
 //!    ([`advisor::VirtualizationDesignAdvisor::transfer_tenant`]
 //!    returns a [`advisor::TransferCalibration`] verdict): calibrated
 //!    models travel only between physically identical machines, and a
@@ -67,17 +70,14 @@ pub use advisor::{
 };
 pub use controlplane::{
     AdaptiveTuningOptions, BatchOutcome, ControlPlane, ControlPlaneOptions, ControlPlaneStats,
-    Decision, DecisionLog, EventOutcome, FleetEvent,
+    Decision, DecisionLog, EventOutcome, FleetEvent, Migration,
 };
 pub use costmodel::{
     ActualCostModel, Adaption, AdaptionOptions, AdaptiveCostModel, AxisCorrection, CalibratedModel,
     Calibrator, CostModel, Estimate, FnCostModel, ProbeCache, RegimeFnCostModel, Renormalizer,
     RuntimeAdaptionStorage, SharedEstimateCache, WhatIfEstimator,
 };
-pub use dynamic::{
-    DynamicConfigManager, DynamicOptions, FleetDynamicOptions, FleetManager, FleetPeriodReport,
-    ManagementMode, Migration, PeriodReport,
-};
+pub use dynamic::{DynamicConfigManager, DynamicOptions, ManagementMode, PeriodReport};
 pub use enumerate::{
     coarse_to_fine_search, coarse_to_fine_search_warm, coarse_to_fine_search_with,
     exhaustive_search, exhaustive_search_with, greedy_search, greedy_search_with,
@@ -87,8 +87,7 @@ pub use enumerate::{
 pub use guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 pub use metrics::CostAccounting;
 pub use placement::{
-    assignment_objective, assignment_objective_heterogeneous, machine_capacity, place_tenants,
-    place_tenants_heterogeneous, AssignmentPricer, FleetOptions, InnerSolve, MachineSpec,
+    assignment_objective, machine_capacity, place_tenants, FleetOptions, InnerSolve, MachineSpec,
     PlacementMove, PlacementResult, ScaledCostModel,
 };
 pub use problem::{Allocation, QoS, Resource, SearchSpace};

@@ -4,7 +4,8 @@
 //! production fleet first has to decide *which* tenant lands on
 //! *which* machine. This module assigns `N` tenants to `K` machines —
 //! identical or **heterogeneous** (capacities, grid resolutions, and
-//! resource ceilings may all differ per machine):
+//! resource ceilings may all differ per machine), each described by a
+//! [`MachineSpec`]:
 //!
 //! 1. **Greedy bin-pack seeding**: tenants are ordered by their
 //!    gain-weighted *marginal benefit* — how much a tenant's cost
@@ -26,11 +27,12 @@
 //! subset)`: machines of the same class share solves (the homogeneous
 //! fast path), while different classes never cross-contaminate.
 //!
-//! Heterogeneous fleets enter through [`MachineSpec`]: each machine
-//! carries its own [`SearchSpace`] plus a resource **scale** relative
-//! to the fleet's reference machine. A tenant's cost model is written
-//! in reference-machine units; on a machine of scale `s`, a share `a`
-//! of that machine is priced as `model(a ⊙ s)` (see
+//! Each [`MachineSpec`] carries the machine's own [`SearchSpace`] plus
+//! a resource **scale** relative to the fleet's reference machine; an
+//! identical fleet of `k` machines is
+//! `vec![MachineSpec::reference(space); k]`. A tenant's cost model is
+//! written in reference-machine units; on a machine of scale `s`, a
+//! share `a` of that machine is priced as `model(a ⊙ s)` (see
 //! [`ScaledCostModel`]). Degradation limits stay machine-relative:
 //! `L_i` bounds the tenant's cost against its solo cost *on the
 //! machine it is placed on*, exactly what the per-machine advisor will
@@ -69,10 +71,6 @@ pub enum InnerSolve {
 /// Fleet-placement settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetOptions {
-    /// Number of identical machines `K` (homogeneous entry points
-    /// only; the heterogeneous entry points take one [`MachineSpec`]
-    /// per machine and ignore this field).
-    pub machines: usize,
     /// Per-machine solver.
     pub inner: InnerSolve,
     /// Candidate-evaluation options for the inner solves.
@@ -88,21 +86,10 @@ pub struct FleetOptions {
 impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
-            machines: 2,
             inner: InnerSolve::Greedy,
             search: SearchOptions::default(),
             max_rounds: 32,
             infeasibility_penalty: 1e9,
-        }
-    }
-}
-
-impl FleetOptions {
-    /// Options for `machines` identical machines, greedy inner solve.
-    pub fn for_machines(machines: usize) -> Self {
-        FleetOptions {
-            machines,
-            ..FleetOptions::default()
         }
     }
 }
@@ -114,9 +101,9 @@ impl FleetOptions {
 /// `scale` maps a share of *this* machine into reference-machine
 /// units: a machine with half the reference CPU and memory has `scale
 /// = (0.5, 0.5)`, so giving a tenant the whole small machine prices
-/// like half the reference machine. Cost models passed to the
-/// heterogeneous entry points are written in reference units and
-/// wrapped per machine by [`ScaledCostModel`].
+/// like half the reference machine. Cost models passed to
+/// [`place_tenants`] and [`assignment_objective`] are written in
+/// reference units and wrapped per machine by [`ScaledCostModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MachineSpec {
     /// This machine's search space (its own δ, `min_share`, fixed
@@ -302,69 +289,52 @@ pub fn machine_capacity(space: &SearchSpace) -> usize {
 /// the borrowed `&[usize]` subset without allocating a key.
 type SubsetCache = RefCell<HashMap<MachineClass, HashMap<Vec<usize>, (f64, Option<SearchResult>)>>>;
 
-/// Per-(machine, tenant) cost-model access. The homogeneous entry
-/// points share one model slice across all machines; heterogeneous
-/// ones carry a full `machine × tenant` matrix (scaled wrappers, or
-/// per-machine-class estimators).
-enum ModelView<'a, M> {
-    /// `models[i]` prices tenant `i` on every machine.
-    Shared(&'a [M]),
-    /// `models[m][i]` prices tenant `i` on machine `m`.
-    PerMachine(Vec<Vec<M>>),
-}
-
-impl<M: CostModel> ModelView<'_, M> {
-    fn model(&self, machine: usize, tenant: usize) -> &M {
-        match self {
-            ModelView::Shared(models) => &models[tenant],
-            ModelView::PerMachine(rows) => &rows[machine][tenant],
-        }
-    }
-}
-
 /// Memoizing fleet evaluator: (machine, subset) → (objective, inner
 /// solve), with solves shared across machines of the same class.
 struct FleetSolver<'a, M> {
     spaces: Vec<SearchSpace>,
     classes: Vec<MachineClass>,
     qos: &'a [QoS],
-    models: ModelView<'a, M>,
+    /// `models[m][i]` prices tenant `i` on machine `m`.
+    models: Vec<Vec<M>>,
     options: &'a FleetOptions,
     cache: SubsetCache,
     solves: Cell<usize>,
 }
 
-impl<'a, M: CostModel> FleetSolver<'a, M> {
+impl<'a, M: CostModel> FleetSolver<'a, ScaledCostModel<&'a M>> {
+    /// One machine per spec: `models[i]` prices tenant `i` in
+    /// reference-machine units, and each machine sees it through a
+    /// [`ScaledCostModel`] at that machine's scale.
     fn new(
-        spaces: Vec<SearchSpace>,
-        classes: Vec<MachineClass>,
+        specs: &[MachineSpec],
         qos: &'a [QoS],
-        models: ModelView<'a, M>,
+        models: &'a [M],
         options: &'a FleetOptions,
     ) -> Self {
-        assert_eq!(spaces.len(), classes.len());
-        assert!(!spaces.is_empty(), "at least one machine");
-        let n = qos.len();
-        match &models {
-            ModelView::Shared(m) => assert_eq!(m.len(), n, "one model per tenant"),
-            ModelView::PerMachine(rows) => {
-                assert_eq!(rows.len(), spaces.len(), "one model row per machine");
-                for row in rows {
-                    assert_eq!(row.len(), n, "one model per tenant per machine");
-                }
-            }
-        }
+        assert!(!specs.is_empty(), "at least one machine spec");
+        assert_eq!(models.len(), qos.len(), "one model per tenant");
         FleetSolver {
-            spaces,
-            classes,
+            spaces: specs.iter().map(|s| s.space).collect(),
+            classes: specs.iter().map(|s| s.class()).collect(),
             qos,
-            models,
+            models: specs
+                .iter()
+                .map(|spec| {
+                    models
+                        .iter()
+                        .map(|m| ScaledCostModel::new(m, spec.scale))
+                        .collect()
+                })
+                .collect(),
             options,
             cache: RefCell::new(HashMap::new()),
             solves: Cell::new(0),
         }
     }
+}
 
+impl<M: CostModel> FleetSolver<'_, M> {
     fn machines(&self) -> usize {
         self.spaces.len()
     }
@@ -413,7 +383,7 @@ impl<'a, M: CostModel> FleetSolver<'a, M> {
         }
         let space = &self.spaces[m];
         let qos_sub: Vec<QoS> = subset.iter().map(|&i| self.qos[i]).collect();
-        let models_sub: Vec<&M> = subset.iter().map(|&i| self.models.model(m, i)).collect();
+        let models_sub: Vec<&M> = subset.iter().map(|&i| &self.models[m][i]).collect();
         let result = match &self.options.inner {
             InnerSolve::Greedy => Some(greedy_search_with(
                 space,
@@ -484,72 +454,19 @@ fn starved_allocation(space: &SearchSpace) -> Allocation {
     })
 }
 
-/// Assign `N` tenants (their cost models and QoS) to
-/// `options.machines` identical machines described by `space`.
-///
-/// The homogeneous fast path: one `SearchSpace` serves all machines,
-/// so every machine shares one [`MachineClass`] and subset solves are
-/// shared fleet-wide. For fleets whose machines differ, use
-/// [`place_tenants_heterogeneous`].
-pub fn place_tenants<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    options: &FleetOptions,
-) -> PlacementResult {
-    let k = options.machines;
-    let class = MachineClass::of(space);
-    let solver = FleetSolver::new(
-        vec![*space; k],
-        vec![class; k],
-        qos,
-        ModelView::Shared(models),
-        options,
-    );
-    place_impl(&solver)
-}
-
-/// Assign `N` tenants to a **heterogeneous** fleet: one
+/// Assign `N` tenants (their cost models and QoS) to a fleet of one
 /// [`MachineSpec`] per machine (its own search space, grid resolution,
 /// and resource scale). `models[i]` prices tenant `i` in
 /// reference-machine units; each machine sees it through a
-/// [`ScaledCostModel`] at that machine's scale. `options.machines` is
-/// ignored — the fleet size is `specs.len()`.
-pub fn place_tenants_heterogeneous<M: CostModel>(
+/// [`ScaledCostModel`] at that machine's scale. Machines with equal
+/// specs share one [`MachineClass`], so their subset solves are shared.
+pub fn place_tenants<M: CostModel>(
     specs: &[MachineSpec],
     qos: &[QoS],
     models: &[M],
     options: &FleetOptions,
 ) -> PlacementResult {
-    let solver = hetero_solver(specs, qos, models, options);
-    place_impl(&solver)
-}
-
-/// Build the per-machine scaled-model solver for a heterogeneous
-/// fleet.
-fn hetero_solver<'a, M: CostModel>(
-    specs: &[MachineSpec],
-    qos: &'a [QoS],
-    models: &'a [M],
-    options: &'a FleetOptions,
-) -> FleetSolver<'a, ScaledCostModel<&'a M>> {
-    assert!(!specs.is_empty(), "at least one machine spec");
-    let rows: Vec<Vec<ScaledCostModel<&M>>> = specs
-        .iter()
-        .map(|spec| {
-            models
-                .iter()
-                .map(|m| ScaledCostModel::new(m, spec.scale))
-                .collect()
-        })
-        .collect();
-    FleetSolver::new(
-        specs.iter().map(|s| s.space).collect(),
-        specs.iter().map(|s| s.class()).collect(),
-        qos,
-        ModelView::PerMachine(rows),
-        options,
-    )
+    place_impl(&FleetSolver::new(specs, qos, models, options))
 }
 
 /// The shared placement algorithm: greedy marginal-benefit seeding
@@ -578,7 +495,7 @@ fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
             reps.iter()
                 .map(|&m| {
                     let space = &solver.spaces[m];
-                    let model = solver.models.model(m, i);
+                    let model = &solver.models[m][i];
                     solver.qos[i].gain
                         * (model.cost(starved_allocation(space))
                             - model.cost(space.solo_allocation()))
@@ -700,107 +617,19 @@ fn place_impl<M: CostModel>(solver: &FleetSolver<'_, M>) -> PlacementResult {
 
 /// Fleet objective of an explicit assignment (same pricing as
 /// [`place_tenants`]: per-machine inner solves, penalties for unmet
-/// limits). The dynamic fleet manager uses this to price candidate
-/// migrations after a workload change.
+/// limits). `None` when `assignment` does not name exactly one machine
+/// of `specs` per tenant.
 pub fn assignment_objective<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    assignment: &[usize],
-    options: &FleetOptions,
-) -> f64 {
-    AssignmentPricer::new(space, qos, models, options).objective(assignment)
-}
-
-/// Fleet objective of an explicit assignment over a **heterogeneous**
-/// fleet (same pricing as [`place_tenants_heterogeneous`]).
-pub fn assignment_objective_heterogeneous<M: CostModel>(
     specs: &[MachineSpec],
     qos: &[QoS],
     models: &[M],
     assignment: &[usize],
     options: &FleetOptions,
-) -> f64 {
-    AssignmentPricer::heterogeneous(specs, qos, models, options).objective(assignment)
-}
-
-/// Prices many related assignments with *shared* subset memoization.
-///
-/// The dynamic fleet manager evaluates one base assignment plus every
-/// candidate migration; consecutive candidates differ on only two
-/// machines, so a shared cache turns O(candidates · K) inner solves
-/// into solves of just the subsets that actually changed. One-shot
-/// callers can use [`assignment_objective`] instead.
-pub struct AssignmentPricer<'a, M> {
-    solver: FleetSolver<'a, M>,
-}
-
-impl<'a, M: CostModel> AssignmentPricer<'a, M> {
-    /// A pricer over a fixed (space, QoS, models, options) problem on
-    /// `options.machines` identical machines.
-    pub fn new(
-        space: &SearchSpace,
-        qos: &'a [QoS],
-        models: &'a [M],
-        options: &'a FleetOptions,
-    ) -> Self {
-        let k = options.machines;
-        let class = MachineClass::of(space);
-        AssignmentPricer {
-            solver: FleetSolver::new(
-                vec![*space; k],
-                vec![class; k],
-                qos,
-                ModelView::Shared(models),
-                options,
-            ),
-        }
+) -> Option<f64> {
+    if assignment.len() != qos.len() || assignment.iter().any(|&m| m >= specs.len()) {
+        return None;
     }
-
-    /// A pricer over an explicit per-machine model matrix:
-    /// `models[m][i]` prices tenant `i` on machine `m`, and `classes`
-    /// keys the memo cache (machines sharing a class must be given
-    /// equivalent model rows). The fleet-manager path uses this with
-    /// per-machine-class calibrated estimators.
-    pub fn per_machine(
-        spaces: Vec<SearchSpace>,
-        classes: Vec<MachineClass>,
-        qos: &'a [QoS],
-        models: Vec<Vec<M>>,
-        options: &'a FleetOptions,
-    ) -> Self {
-        AssignmentPricer {
-            solver: FleetSolver::new(spaces, classes, qos, ModelView::PerMachine(models), options),
-        }
-    }
-
-    /// Fleet objective of `assignment` (same pricing as
-    /// [`place_tenants`] / [`place_tenants_heterogeneous`]).
-    pub fn objective(&self, assignment: &[usize]) -> f64 {
-        assert_eq!(assignment.len(), self.solver.qos.len());
-        self.solver.total(assignment)
-    }
-
-    /// Number of machines this pricer covers.
-    pub fn machines(&self) -> usize {
-        self.solver.machines()
-    }
-}
-
-impl<'a, M: CostModel> AssignmentPricer<'a, ScaledCostModel<&'a M>> {
-    /// A pricer over a heterogeneous fleet: one [`MachineSpec`] per
-    /// machine, tenant models in reference-machine units (wrapped per
-    /// machine by [`ScaledCostModel`]). `options.machines` is ignored.
-    pub fn heterogeneous(
-        specs: &[MachineSpec],
-        qos: &'a [QoS],
-        models: &'a [M],
-        options: &'a FleetOptions,
-    ) -> Self {
-        AssignmentPricer {
-            solver: hetero_solver(specs, qos, models, options),
-        }
-    }
+    Some(FleetSolver::new(specs, qos, models, options).total(assignment))
 }
 
 #[cfg(test)]
@@ -819,13 +648,23 @@ mod tests {
         vec![QoS::default(); n]
     }
 
+    /// `k` identical reference machines over `space`.
+    fn fleet(space: SearchSpace, k: usize) -> Vec<MachineSpec> {
+        vec![MachineSpec::reference(space); k]
+    }
+
     #[test]
     fn placement_spreads_hungry_tenants_across_machines() {
         let space = SearchSpace::cpu_only(0.5);
         // Two very hungry tenants and two light ones: each machine
         // should get one hungry tenant.
         let models = synth(vec![50.0, 50.0, 1.0, 1.0]);
-        let r = place_tenants(&space, &qos_n(4), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(4),
+            &models,
+            &FleetOptions::default(),
+        );
         assert_ne!(
             r.assignment[0], r.assignment[1],
             "hungry tenants must not share: {:?}",
@@ -841,10 +680,11 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![40.0, 35.0, 30.0, 1.0, 1.0, 1.0]);
         let qos = qos_n(6);
-        let opts = FleetOptions::for_machines(3);
-        let placed = place_tenants(&space, &qos, &models, &opts);
+        let opts = FleetOptions::default();
+        let specs = fleet(space, 3);
+        let placed = place_tenants(&specs, &qos, &models, &opts);
         let round_robin: Vec<usize> = (0..6).map(|i| i % 3).collect();
-        let rr = assignment_objective(&space, &qos, &models, &round_robin, &opts);
+        let rr = assignment_objective(&specs, &qos, &models, &round_robin, &opts).unwrap();
         assert!(
             placed.objective <= rr + 1e-9,
             "placement {} must not lose to round-robin {}",
@@ -858,7 +698,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![9.0, 4.0, 1.0]);
         let qos = qos_n(3);
-        let r = place_tenants(&space, &qos, &models, &FleetOptions::for_machines(1));
+        let r = place_tenants(&fleet(space, 1), &qos, &models, &FleetOptions::default());
         let direct = greedy_search_with(&space, &qos, &models, &SearchOptions::default());
         assert!(r.assignment.iter().all(|&m| m == 0));
         assert_eq!(r.per_machine[0].as_ref().unwrap(), &direct);
@@ -866,10 +706,34 @@ mod tests {
     }
 
     #[test]
+    fn assignment_objective_rejects_unknown_machines_and_wrong_lengths() {
+        // Two α = 8 tenants on two reference machines: solo on each,
+        // 8/1 + 1 = 9 apiece. An assignment naming a machine outside
+        // the fleet must be rejected, not priced without its tenant.
+        let specs = fleet(SearchSpace::cpu_only(0.5), 2);
+        let models = synth(vec![8.0, 8.0]);
+        let qos = qos_n(2);
+        let opts = FleetOptions::default();
+        let price =
+            |assignment: &[usize]| assignment_objective(&specs, &qos, &models, assignment, &opts);
+        let spread = price(&[0, 1]).expect("valid assignment");
+        assert!((spread - 18.0).abs() < 1e-9, "{spread}");
+        assert_eq!(price(&[0, 7]), None, "out-of-range machine");
+        assert_eq!(price(&[0, 2]), None, "one past the last machine");
+        assert_eq!(price(&[0]), None, "too short");
+        assert_eq!(price(&[0, 1, 0]), None, "too long");
+    }
+
+    #[test]
     fn moves_strictly_improve_the_objective() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![20.0, 18.0, 2.0, 1.5, 1.0]);
-        let r = place_tenants(&space, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(5),
+            &models,
+            &FleetOptions::default(),
+        );
         for mv in &r.moves {
             let improvement = match mv {
                 PlacementMove::Migrate { improvement, .. } => *improvement,
@@ -887,7 +751,12 @@ mod tests {
         space.min_share = 0.25;
         space.set_delta(0.25);
         let models = synth(vec![1.0; 6]);
-        let r = place_tenants(&space, &qos_n(6), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(6),
+            &models,
+            &FleetOptions::default(),
+        );
         for m in 0..2 {
             assert!(r.tenants_on(m).len() <= 4, "{:?}", r.assignment);
         }
@@ -900,7 +769,12 @@ mod tests {
         space.min_share = 0.5;
         space.set_delta(0.5);
         let models = synth(vec![1.0; 5]);
-        let _ = place_tenants(&space, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let _ = place_tenants(
+            &fleet(space, 2),
+            &qos_n(5),
+            &models,
+            &FleetOptions::default(),
+        );
     }
 
     #[test]
@@ -916,7 +790,7 @@ mod tests {
             QoS::default(),
             QoS::default(),
         ];
-        let r = place_tenants(&space, &qos, &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(&fleet(space, 2), &qos, &models, &FleetOptions::default());
         assert_ne!(r.assignment[0], r.assignment[1], "{:?}", r.assignment);
         assert!(
             r.objective < 1e6,
@@ -941,12 +815,12 @@ mod tests {
             QoS::default(),
         ];
         let r = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::Exhaustive,
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         assert_ne!(r.assignment[0], r.assignment[1], "{:?}", r.assignment);
@@ -966,7 +840,12 @@ mod tests {
     fn allocation_lookup_is_consistent() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![12.0, 6.0, 3.0, 1.0]);
-        let r = place_tenants(&space, &qos_n(4), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(4),
+            &models,
+            &FleetOptions::default(),
+        );
         for i in 0..4 {
             let a = r.allocation_of(i).expect("feasible fleet");
             assert!(a.cpu() >= space.min_share - 1e-9);
@@ -998,21 +877,21 @@ mod tests {
             QoS::default(),
         ];
         let exact = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::Exhaustive,
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         let c2f = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::CoarseToFine(CoarseToFineOptions::default()),
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         assert!(
@@ -1037,14 +916,14 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![9.0, 7.0, 2.0, 1.0]);
         let qos = qos_n(4);
-        let greedy = place_tenants(&space, &qos, &models, &FleetOptions::for_machines(2));
+        let greedy = place_tenants(&fleet(space, 2), &qos, &models, &FleetOptions::default());
         let exact = place_tenants(
-            &space,
+            &fleet(space, 2),
             &qos,
             &models,
             &FleetOptions {
                 inner: InnerSolve::Exhaustive,
-                ..FleetOptions::for_machines(2)
+                ..FleetOptions::default()
             },
         );
         assert!(exact.objective <= greedy.objective + 1e-9);
@@ -1054,7 +933,12 @@ mod tests {
     fn subset_memoization_bounds_inner_solves() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![5.0, 4.0, 3.0, 2.0, 1.0]);
-        let r = place_tenants(&space, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(5),
+            &models,
+            &FleetOptions::default(),
+        );
         // 5 tenants over 2 machines: far fewer distinct subsets than
         // the local search's move evaluations.
         assert!(r.inner_solves <= 62, "{}", r.inner_solves);
@@ -1106,19 +990,19 @@ mod tests {
         let specs = big_and_small();
         let models = synth(vec![8.0]);
         let qos = qos_n(1);
-        let opts = FleetOptions::for_machines(2);
-        let pricer = AssignmentPricer::heterogeneous(&specs, &qos, &models, &opts);
+        let opts = FleetOptions::default();
+        let solver = FleetSolver::new(&specs, &qos, &models, &opts);
         // Price on the big machine FIRST so a subset-only memo key
         // would poison the small machine's lookup.
-        let on_big = pricer.objective(&[0]);
-        let on_small = pricer.objective(&[1]);
+        let on_big = solver.total(&[0]);
+        let on_small = solver.total(&[1]);
         // Solo on big: 8/1 + 1 = 9. Solo on small (scale 0.5):
         // 8/0.5 + 1 = 17.
         assert!((on_big - 9.0).abs() < 1e-9, "big {on_big}");
         assert!((on_small - 17.0).abs() < 1e-9, "small {on_small}");
         // Re-pricing must hit the class-keyed cache, not cross over.
-        assert!((pricer.objective(&[1]) - on_small).abs() < 1e-12);
-        assert!((pricer.objective(&[0]) - on_big).abs() < 1e-12);
+        assert!((solver.total(&[1]) - on_small).abs() < 1e-12);
+        assert!((solver.total(&[0]) - on_big).abs() < 1e-12);
     }
 
     #[test]
@@ -1132,10 +1016,10 @@ mod tests {
             .map(|alpha| FnCostModel::new(move |a: Allocation| alpha / a.cpu().min(0.6) + 1.0))
             .collect();
         let qos = qos_n(2);
-        let opts = FleetOptions::for_machines(1);
+        let opts = FleetOptions::default();
         let space = SearchSpace::cpu_only(0.5);
         let solve_on = |spec: MachineSpec| {
-            place_tenants_heterogeneous(&[spec], &qos, &models, &opts).per_machine[0]
+            place_tenants(&[spec], &qos, &models, &opts).per_machine[0]
                 .clone()
                 .expect("solvable")
         };
@@ -1158,8 +1042,7 @@ mod tests {
     fn hungry_tenant_lands_on_the_big_machine() {
         let specs = big_and_small();
         let models = synth(vec![50.0, 1.0]);
-        let r =
-            place_tenants_heterogeneous(&specs, &qos_n(2), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(&specs, &qos_n(2), &models, &FleetOptions::default());
         assert_eq!(
             r.assignment[0], 0,
             "resource-hungry tenant must take the big machine: {:?}",
@@ -1183,14 +1066,14 @@ mod tests {
         ];
         let models = synth(vec![30.0, 25.0, 20.0, 2.0, 1.0, 0.5]);
         let qos = qos_n(6);
-        let opts = FleetOptions::for_machines(3);
-        let aware = place_tenants_heterogeneous(&specs, &qos, &models, &opts);
+        let opts = FleetOptions::default();
+        let aware = place_tenants(&specs, &qos, &models, &opts);
         // Homogeneous-as-smallest: place as if all machines were the
         // small one, then price that assignment on the true fleet.
         let smallest = vec![MachineSpec::scaled(space, 0.4, 1.0); 3];
-        let blind = place_tenants_heterogeneous(&smallest, &qos, &models, &opts);
+        let blind = place_tenants(&smallest, &qos, &models, &opts);
         let blind_on_true =
-            assignment_objective_heterogeneous(&specs, &qos, &models, &blind.assignment, &opts);
+            assignment_objective(&specs, &qos, &models, &blind.assignment, &opts).unwrap();
         assert!(
             aware.objective <= blind_on_true + 1e-9,
             "aware {} vs blind-on-true {}",
@@ -1222,7 +1105,12 @@ mod tests {
                 FnCostModel::new(move |a: Allocation| alpha / a.disk() + 1.0 / a.cpu() + 1.0)
             })
             .collect();
-        let r = place_tenants(&space, &qos_n(4), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(
+            &fleet(space, 2),
+            &qos_n(4),
+            &models,
+            &FleetOptions::default(),
+        );
         assert_ne!(
             r.assignment[0], r.assignment[1],
             "disk hogs must not share: {:?}",
@@ -1252,8 +1140,7 @@ mod tests {
         assert_eq!(specs[0].capacity(), 2);
         assert_eq!(specs[1].capacity(), 20);
         let models = synth(vec![1.0; 5]);
-        let r =
-            place_tenants_heterogeneous(&specs, &qos_n(5), &models, &FleetOptions::for_machines(2));
+        let r = place_tenants(&specs, &qos_n(5), &models, &FleetOptions::default());
         assert!(r.tenants_on(0).len() <= 2, "{:?}", r.assignment);
     }
 }

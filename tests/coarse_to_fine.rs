@@ -8,7 +8,7 @@ use vda::core::enumerate::{
     coarse_to_fine_search_with, exhaustive_search, try_coarse_to_fine_search_with,
     try_exhaustive_search_with, CoarseToFineOptions, SearchOptions,
 };
-use vda::core::placement::{place_tenants, FleetOptions};
+use vda::core::placement::{place_tenants, FleetOptions, MachineSpec};
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 
 /// Per-workload convex resource-cost coefficients (α for CPU, β for
@@ -236,7 +236,8 @@ proptest! {
         let cs = &cs[..n];
         let qos = &qos[..n];
         let models = models(cs);
-        let r = place_tenants(&space, qos, &models, &FleetOptions::for_machines(k));
+        let specs = vec![MachineSpec::reference(space); k];
+        let r = place_tenants(&specs, qos, &models, &FleetOptions::default());
         prop_assert!(r.assignment.iter().all(|&m| m < k));
         for m in 0..k {
             let tenants = r.tenants_on(m);
