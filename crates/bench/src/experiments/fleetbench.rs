@@ -85,7 +85,7 @@ use std::time::Instant;
 use vda_core::problem::{QoS, ResourceVector, SearchSpace};
 use vda_core::tenant::Tenant;
 use vda_core::VirtualizationDesignAdvisor;
-use vda_core::{ControlPlane, ControlPlaneOptions, EventOutcome, FleetEvent, FleetSnapshot};
+use vda_core::{BatchOutcome, ControlPlane, ControlPlaneOptions, FleetEvent, FleetSnapshot};
 use vda_simdb::catalog::Catalog;
 use vda_simdb::engines::Engine;
 use vda_vmm::{Hypervisor, PhysicalMachine};
@@ -546,7 +546,7 @@ pub fn measure_with(scale: FleetScale) -> Result<FleetBench, String> {
     let initial_objective = warm.objective();
     let shards = warm.shards().len();
     let mut events: Vec<FleetEvent> = Vec::with_capacity(scale.events);
-    let mut warm_outcomes: Vec<EventOutcome> = Vec::with_capacity(scale.events);
+    let mut warm_outcomes: Vec<BatchOutcome> = Vec::with_capacity(scale.events);
     let mut snapshot = None;
     let mut topology = Vec::new();
     for e in 0..scale.events {
@@ -572,7 +572,7 @@ pub fn measure_with(scale: FleetScale) -> Result<FleetBench, String> {
         cold_event_calls += c.optimizer_calls;
         results_match &= c.action == w.action
             && c.resolved == w.resolved
-            && c.migration == w.migration
+            && c.migrations == w.migrations
             && c.objective.to_bits() == w.objective.to_bits();
     }
     let cold_wall_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -8,26 +8,30 @@
 //! workload drifts, a tenant arrives or leaves, a machine is
 //! decommissioned), and only a handful of machines are affected by
 //! each one. [`ControlPlane`] is the fleet engine, and it is
-//! event-driven:
+//! event-driven. It **shards** the fleet by pricing class
+//! ([`MachineClass::of`]`(space).salted(hardware)` — see
+//! [`ControlPlane::shards`]): machines of one shard share calibrations
+//! (the class registry), probe-cache entries (the fleet-wide
+//! [`ProbeCache`]), and therefore most of each other's optimizer work.
 //!
-//! 1. **Shard** the fleet by pricing class
-//!    ([`MachineClass::of`]`(space).salted(hardware)` — see
-//!    [`ControlPlane::shards`]): machines of one shard share
-//!    calibrations (the class registry), probe-cache entries (the
-//!    fleet-wide [`ProbeCache`]), and therefore most of each other's
-//!    optimizer work.
-//! 2. **Re-solve only the dirty machines** of an event, in parallel,
-//!    each through its advisor's warm-started coarse-to-fine search
+//! Events arrive one at a time ([`ControlPlane::process_event`]) or in
+//! batches ([`ControlPlane::process_batch`]); a single event is a batch
+//! of one, and both run one lifecycle:
+//!
+//! 1. **Apply** the events in order through the one event-application
+//!    step, then **classify** each touched tenant slot once, major or
+//!    minor (the §6.1 per-query estimate metric against
+//!    [`ControlPlaneOptions::change_threshold`], last-write-wins — see
+//!    [`ControlPlane::process_batch`] for the exact rule).
+//! 2. **Re-solve only the dirty machines**, in one parallel wave, each
+//!    through its advisor's warm-started coarse-to-fine search
 //!    ([`VirtualizationDesignAdvisor::recommend_c2f_warm`]): unchanged
 //!    machines keep their placements, drifted machines delta-solve
 //!    against their retained DP lattices, and everything stays
 //!    bit-identical to a cold re-solve of the whole fleet.
-//! 3. **Reconcile**: a *major* workload change (the §6.1 per-query
-//!    estimate metric against
-//!    [`ControlPlaneOptions::change_threshold`]) or a tenant arrival
-//!    makes that tenant a cross-shard migration candidate. Candidate
-//!    destinations (the least-loaded machines with capacity,
-//!    [`ControlPlaneOptions::reconcile_fanout`] of them) are priced
+//! 3. **Reconcile**: a major change or a tenant arrival makes that
+//!    tenant a cross-shard migration candidate. Candidate destinations
+//!    (the four least-loaded machines with capacity) are priced
 //!    non-destructively with hypothetical estimator sets; the merge is
 //!    deterministic — candidates are visited in `(tenant count,
 //!    machine index)` order and a move is taken only if its
@@ -37,17 +41,14 @@
 //!    [`VirtualizationDesignAdvisor::transfer_tenant`]: cross-class
 //!    moves install the destination class's registry model instead of
 //!    trusting one fit on different hardware.
-//! 4. **Record**: each event appends a [`Decision`] to the log and a
-//!    wall-clock decision latency to the (non-durable) latency ring;
+//! 4. **Prune and evict**: every 64 events dead probe rows and registry
+//!    models go, and a capped probe cache evicts to its bound.
+//! 5. **Record**: one [`Decision`] goes to the log and one wall-clock
+//!    latency to the (non-durable) latency ring;
 //!    [`ControlPlane::p99_latency_ms`] summarizes via
 //!    [`crate::metrics::percentile`].
 //!
-//! Events can also be ingested **in batches**
-//! ([`ControlPlane::process_batch`]): same-slot workload events are
-//! coalesced (last-write-wins — see the method docs for the exact
-//! rule), every dirty machine is marked once, and the whole batch is
-//! re-solved in a *single* parallel wave instead of one wave per
-//! event. At scale both the probe cache and the decision log run in
+//! At scale both the probe cache and the decision log run in
 //! **bounded-memory modes**: a row-capped [`ProbeCache`] with
 //! deterministic logical-epoch LRU eviction
 //! ([`ControlPlaneOptions::probe_cache_capacity`]) and a ring-buffer
@@ -187,12 +188,6 @@ pub struct ControlPlaneOptions {
     /// destination must recalibrate the tenant's model, so the move
     /// has to promise strictly more than a same-class one.
     pub recalibration_surcharge: f64,
-    /// How many candidate destinations (least-loaded first) the
-    /// reconcile pass prices per migration candidate.
-    pub reconcile_fanout: usize,
-    /// Prune the probe cache and class registry every this many events
-    /// (`0` disables periodic pruning; decommissions always prune).
-    pub prune_every: u64,
     /// `true` (the default): warm-started delta solves over persistent
     /// caches. `false`: every event invalidates all warm state and
     /// cold-starts the probe cache first — the baseline the incremental
@@ -224,8 +219,6 @@ impl Default for ControlPlaneOptions {
             change_threshold: 0.10,
             migration_threshold: 0.05,
             recalibration_surcharge: 0.02,
-            reconcile_fanout: 4,
-            prune_every: 64,
             incremental: true,
             probe_cache_capacity: 0,
             decision_log_capacity: 0,
@@ -386,38 +379,20 @@ impl PartialEq for DecisionLog {
     }
 }
 
-/// What [`ControlPlane::process_event`] returns to the caller: the
-/// durable [`Decision`] fields plus the non-durable measurements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventOutcome {
-    /// Event sequence number.
-    pub seq: u64,
-    /// Compact description (same string as the logged [`Decision`]).
-    pub action: String,
-    /// Machines re-solved by this event (sorted).
-    pub resolved: Vec<usize>,
-    /// The reconcile migration taken, if any.
-    pub migration: Option<Migration>,
-    /// Estimated fleet objective after the event.
-    pub objective: f64,
-    /// Wall-clock decision latency of this event, milliseconds.
-    pub latency_ms: f64,
-    /// Query-optimizer invocations this event paid (re-solves plus
-    /// reconcile pricing plus classification estimates).
-    pub optimizer_calls: u64,
-}
-
-/// What [`ControlPlane::process_batch`] returns: the durable
-/// [`Decision`] fields of the one batch decision plus the non-durable
-/// measurements for the whole batch.
+/// What [`ControlPlane::process_event`] and
+/// [`ControlPlane::process_batch`] return: the durable [`Decision`]
+/// fields of the one logged decision plus the non-durable
+/// measurements. A single event is a batch of one (`events == 1`, at
+/// most one migration).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome {
     /// Event sequence number after the batch (the last event's).
     pub seq: u64,
     /// Number of events the batch carried.
     pub events: usize,
-    /// Compact description of the batch composition (same string as
-    /// the logged [`Decision`]).
+    /// Compact description (same string as the logged [`Decision`]):
+    /// the event's own action for a batch of one, the batch
+    /// composition otherwise.
     pub action: String,
     /// Machines re-solved by this batch (sorted).
     pub resolved: Vec<usize>,
@@ -427,7 +402,8 @@ pub struct BatchOutcome {
     pub objective: f64,
     /// Wall-clock decision latency of the whole batch, milliseconds.
     pub latency_ms: f64,
-    /// Query-optimizer invocations the batch paid.
+    /// Query-optimizer invocations the batch paid (re-solves plus
+    /// reconcile pricing plus classification estimates).
     pub optimizer_calls: u64,
 }
 
@@ -505,6 +481,14 @@ impl BatchKinds {
         )
     }
 }
+
+/// How many candidate destinations (least-loaded first) the reconcile
+/// pass prices per migration candidate.
+const RECONCILE_FANOUT: usize = 4;
+
+/// The probe cache and class registry are pruned whenever the event
+/// sequence crosses a multiple of this; decommissions always prune.
+const PRUNE_EVERY: u64 = 64;
 
 /// Decision latencies a [`ControlPlane`] keeps: the most recent this
 /// many events or batches. Enough for a p99 with 40 samples beyond it,
@@ -737,54 +721,13 @@ impl ControlPlane {
         map
     }
 
-    /// Apply one fleet event: re-solve the dirty machines (in
-    /// parallel, warm), reconcile migration candidates, log the
-    /// [`Decision`], and record the decision latency.
-    pub fn process_event(&mut self, event: FleetEvent) -> EventOutcome {
-        let started_ms = self.clock.now_ms();
-        let calls_before = self.optimizer_calls;
-        if !self.options.incremental {
-            self.cold_start();
-        }
-        // Probe recency for this event's lookups is the event's own
-        // 1-based sequence number — a logical epoch, never wall clock.
-        self.probe.set_epoch(self.seq + 1);
-        let (action, mut dirty, candidate) = self.apply(event);
-        self.resolve(&dirty);
-        let migration = candidate.and_then(|(m, slot)| self.reconcile(m, slot));
-        if let Some(mig) = &migration {
-            dirty.push(mig.from);
-            dirty.push(mig.to);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        self.seq += 1;
-        if self.options.prune_every > 0 && self.seq.is_multiple_of(self.options.prune_every) {
-            self.prune_caches();
-        }
-        // The serial sync point: no solve wave is in flight, so the
-        // LRU eviction scan sees a thread-count-independent recency
-        // map.
-        self.probe.enforce_capacity();
-        let objective = self.objective();
-        self.log.push(Decision {
-            seq: self.seq,
-            action: action.clone(),
-            resolved: dirty.clone(),
-            migrations: migration.clone().into_iter().collect(),
-            objective,
-        });
-        let latency_ms = self.clock.now_ms() - started_ms;
-        self.record_latency(latency_ms);
-        EventOutcome {
-            seq: self.seq,
-            action,
-            resolved: dirty,
-            migration,
-            objective,
-            latency_ms,
-            optimizer_calls: self.optimizer_calls - calls_before,
-        }
+    /// Apply one fleet event: the lifecycle of
+    /// [`process_batch`](Self::process_batch) over a batch of one,
+    /// without cloning the event. The outcome carries `events == 1`, at
+    /// most one migration, and the event's own action string (e.g.
+    /// `"workload-scaled m3 t2 (minor)"`) instead of a batch summary.
+    pub fn process_event(&mut self, event: FleetEvent) -> BatchOutcome {
+        self.ingest(std::iter::once(event))
     }
 
     /// Apply a batch of fleet events with **one** parallel re-solve
@@ -825,8 +768,11 @@ impl ControlPlane {
     ///
     /// One [`Decision`] is logged per batch; `seq` advances by the
     /// number of events carried, so the probe cache's logical epoch
-    /// and [`ControlPlaneOptions::prune_every`] see the same event
-    /// arithmetic as serial ingestion.
+    /// and the periodic cache prune see the same event arithmetic as
+    /// serial ingestion. A batch of several events logs its
+    /// composition (`"batch nN (…)"`); a batch of one *is*
+    /// [`process_event`](Self::process_event) and logs that event's
+    /// own action.
     ///
     /// # Example
     ///
@@ -874,18 +820,28 @@ impl ControlPlane {
     ///
     /// # Panics
     ///
-    /// On an empty batch, and under the same conditions as
-    /// [`process_event`](Self::process_event) (capacity, binding,
-    /// decommissioning a non-empty machine).
+    /// On an empty batch, on a workload that does not bind against its
+    /// tenant's catalog, on an arrival at a machine without a free
+    /// capacity slot, and on decommissioning a non-empty machine.
     pub fn process_batch(&mut self, events: &[FleetEvent]) -> BatchOutcome {
         assert!(!events.is_empty(), "batch must carry at least one event");
+        self.ingest(events.iter().cloned())
+    }
+
+    /// The one event lifecycle behind [`Self::process_event`] and
+    /// [`Self::process_batch`]: apply the events in order, classify the
+    /// coalesced workload mutations, re-solve the dirty machines in one
+    /// wave, reconcile the migration candidates, prune and evict, and
+    /// log one [`Decision`].
+    fn ingest(&mut self, events: impl ExactSizeIterator<Item = FleetEvent>) -> BatchOutcome {
+        let n = events.len();
         let started_ms = self.clock.now_ms();
         let calls_before = self.optimizer_calls;
         if !self.options.incremental {
             self.cold_start();
         }
-        // One logical epoch for the whole batch: the first event's
-        // sequence number.
+        // Probe recency is the first event's 1-based sequence number —
+        // a logical epoch, never wall clock.
         self.probe.set_epoch(self.seq + 1);
 
         // Per-slot classification records: first-touch pre-estimate,
@@ -896,8 +852,12 @@ impl ControlPlane {
         let mut arrivals: Vec<(usize, usize)> = Vec::new();
         let mut dirty: Vec<usize> = Vec::new();
         let mut kinds = BatchKinds::default();
+        // Only a one-event call describes its event; a batch logs its
+        // composition instead.
+        let single = n == 1;
+        let mut action: Option<String> = None;
 
-        for event in events.iter().cloned() {
+        for event in events {
             match event {
                 FleetEvent::WorkloadChanged {
                     machine,
@@ -911,6 +871,7 @@ impl ControlPlane {
                         .expect("new workload must bind against the tenant's catalog");
                     dirty.push(machine);
                     kinds.changed += 1;
+                    action = single.then(|| format!("workload-changed m{machine} t{slot}"));
                 }
                 FleetEvent::WorkloadScaled {
                     machine,
@@ -923,6 +884,7 @@ impl ControlPlane {
                         .scale_workload(factor);
                     dirty.push(machine);
                     kinds.scaled += 1;
+                    action = single.then(|| format!("workload-scaled m{machine} t{slot}"));
                 }
                 FleetEvent::TenantArrived {
                     machine,
@@ -939,31 +901,27 @@ impl ControlPlane {
                     arrivals.push((machine, slot));
                     dirty.push(machine);
                     kinds.arrived += 1;
+                    action = single.then(|| format!("tenant-arrived m{machine} t{slot}"));
                 }
                 FleetEvent::TenantDeparted { machine, slot } => {
                     let (tenant, _) = self.machines[machine].remove_tenant(slot);
+                    // A canary must not outlive its evidence stream: if
+                    // the departed tenant was in any live canary subset,
+                    // that candidate rolls back deterministically.
                     dirty.extend(self.rollback_canaries_of_tenant(tenant.fingerprint()));
                     // The departed slot's records die with it; higher
                     // slots shift down (Vec::remove semantics).
-                    pending.remove(&(machine, slot));
-                    pending = pending
-                        .into_iter()
-                        .map(|((m, s), v)| {
-                            if m == machine && s > slot {
-                                ((m, s - 1), v)
-                            } else {
-                                ((m, s), v)
-                            }
-                        })
-                        .collect();
-                    arrivals.retain(|&(m, s)| !(m == machine && s == slot));
-                    for a in arrivals.iter_mut() {
-                        if a.0 == machine && a.1 > slot {
-                            a.1 -= 1;
+                    rekey_records(&mut pending, &mut arrivals, |(m, s)| {
+                        if m != machine || s < slot {
+                            Some((m, s))
+                        } else {
+                            (s > slot).then(|| (m, s - 1))
                         }
-                    }
+                    });
                     dirty.push(machine);
                     kinds.departed += 1;
+                    action =
+                        single.then(|| format!("tenant-departed m{machine} ({})", tenant.name));
                 }
                 FleetEvent::MachineDecommissioned { machine } => {
                     assert_eq!(
@@ -978,36 +936,23 @@ impl ControlPlane {
                     // Swap-remove renumbering: records on the removed
                     // (empty) machine are gone, the former last
                     // machine now answers to `machine`.
-                    pending = pending
-                        .into_iter()
-                        .filter(|&((m, _), _)| m != machine)
-                        .map(|((m, s), v)| {
-                            if m == last {
-                                ((machine, s), v)
-                            } else {
-                                ((m, s), v)
-                            }
-                        })
-                        .collect();
-                    arrivals.retain(|&(m, _)| m != machine);
-                    for a in arrivals.iter_mut() {
-                        if a.0 == last {
-                            a.0 = machine;
-                        }
-                    }
-                    dirty.retain(|&m| m != machine);
-                    for d in dirty.iter_mut() {
-                        if *d == last {
-                            *d = machine;
-                        }
-                    }
+                    let renumber =
+                        |m: usize| (m != machine).then_some(if m == last { machine } else { m });
+                    rekey_records(&mut pending, &mut arrivals, |(m, s)| {
+                        Some((renumber(m)?, s))
+                    });
+                    dirty = dirty.into_iter().filter_map(renumber).collect();
+                    // Models only this machine's class used are now dead
+                    // weight in the probe cache; reclaim immediately.
                     self.prune_caches();
                     kinds.decommissioned += 1;
+                    action = single.then(|| format!("machine-decommissioned m{machine}"));
                 }
                 FleetEvent::ActualsReported { machine, slot } => {
-                    let (_, d) = self.handle_actuals(machine, slot);
+                    let (a, d) = self.handle_actuals(machine, slot);
                     dirty.extend(d);
                     kinds.actuals += 1;
+                    action = single.then_some(a);
                 }
             }
         }
@@ -1025,9 +970,15 @@ impl ControlPlane {
                 }
             }
         }
+        let action = match action {
+            // A lone workload event carries its classification.
+            Some(a) if !pending.is_empty() => {
+                format!("{a} ({})", if kinds.major > 0 { "major" } else { "minor" })
+            }
+            Some(a) => a,
+            None => kinds.describe(n),
+        };
 
-        dirty.sort_unstable();
-        dirty.dedup();
         // The single wave.
         self.resolve(&dirty);
 
@@ -1053,16 +1004,15 @@ impl ControlPlane {
         dirty.dedup();
 
         let seq_before = self.seq;
-        self.seq += events.len() as u64;
-        if self.options.prune_every > 0
-            && seq_before / self.options.prune_every < self.seq / self.options.prune_every
-        {
+        self.seq += n as u64;
+        if seq_before / PRUNE_EVERY < self.seq / PRUNE_EVERY {
             self.prune_caches();
         }
-        // Serial sync point, as in process_event.
+        // The serial sync point: no solve wave is in flight, so the
+        // LRU eviction scan sees a thread-count-independent recency
+        // map.
         self.probe.enforce_capacity();
         let objective = self.objective();
-        let action = kinds.describe(events.len());
         self.log.push(Decision {
             seq: self.seq,
             action: action.clone(),
@@ -1074,7 +1024,7 @@ impl ControlPlane {
         self.record_latency(latency_ms);
         BatchOutcome {
             seq: self.seq,
-            events: events.len(),
+            events: n,
             action,
             resolved: dirty,
             migrations,
@@ -1291,99 +1241,8 @@ impl ControlPlane {
     }
 
     // ------------------------------------------------------------------
-    // Event application
+    // Classification
     // ------------------------------------------------------------------
-
-    /// Mutate the fleet per the event. Returns the action description,
-    /// the dirty machine set, and the migration candidate (machine,
-    /// slot), if the event produced one.
-    fn apply(&mut self, event: FleetEvent) -> (String, Vec<usize>, Option<(usize, usize)>) {
-        match event {
-            FleetEvent::WorkloadChanged {
-                machine,
-                slot,
-                workload,
-            } => {
-                let before = self.per_query_estimate(machine, slot);
-                self.machines[machine]
-                    .tenant_mut(slot)
-                    .set_workload(workload)
-                    .expect("new workload must bind against the tenant's catalog");
-                let major = self.classify_major(machine, slot, before);
-                let label = if major { "major" } else { "minor" };
-                (
-                    format!("workload-changed m{machine} t{slot} ({label})"),
-                    vec![machine],
-                    major.then_some((machine, slot)),
-                )
-            }
-            FleetEvent::WorkloadScaled {
-                machine,
-                slot,
-                factor,
-            } => {
-                let before = self.per_query_estimate(machine, slot);
-                self.machines[machine]
-                    .tenant_mut(slot)
-                    .scale_workload(factor);
-                let major = self.classify_major(machine, slot, before);
-                let label = if major { "major" } else { "minor" };
-                (
-                    format!("workload-scaled m{machine} t{slot} ({label})"),
-                    vec![machine],
-                    major.then_some((machine, slot)),
-                )
-            }
-            FleetEvent::TenantArrived {
-                machine,
-                tenant,
-                qos,
-            } => {
-                assert!(
-                    self.machines[machine].tenant_count() < machine_capacity(&self.spaces[machine]),
-                    "machine {machine} has no free capacity slot"
-                );
-                let slot = self.machines[machine].add_tenant(*tenant, qos);
-                self.ensure_machine_calibrated(machine);
-                (
-                    format!("tenant-arrived m{machine} t{slot}"),
-                    vec![machine],
-                    Some((machine, slot)),
-                )
-            }
-            FleetEvent::TenantDeparted { machine, slot } => {
-                let (tenant, _) = self.machines[machine].remove_tenant(slot);
-                let mut dirty = vec![machine];
-                // A canary must not outlive its evidence stream: if the
-                // departed tenant was in any live canary subset, that
-                // candidate rolls back deterministically.
-                dirty.extend(self.rollback_canaries_of_tenant(tenant.fingerprint()));
-                (
-                    format!("tenant-departed m{machine} ({})", tenant.name),
-                    dirty,
-                    None,
-                )
-            }
-            FleetEvent::MachineDecommissioned { machine } => {
-                assert_eq!(
-                    self.machines[machine].tenant_count(),
-                    0,
-                    "decommissioned machine must be empty"
-                );
-                self.machines.swap_remove(machine);
-                self.spaces.swap_remove(machine);
-                self.placements.swap_remove(machine);
-                // Models only this machine's class used are now dead
-                // weight in the probe cache; reclaim immediately.
-                self.prune_caches();
-                (format!("machine-decommissioned m{machine}"), vec![], None)
-            }
-            FleetEvent::ActualsReported { machine, slot } => {
-                let (action, dirty) = self.handle_actuals(machine, slot);
-                (action, dirty, None)
-            }
-        }
-    }
 
     /// §6.1 change metric at a fixed reference allocation, after the
     /// workload mutated: relative per-query estimate change vs
@@ -1472,7 +1331,7 @@ impl ControlPlane {
             })
             .collect();
         dests.sort_by_key(|&d| (self.machines[d].tenant_count(), d));
-        dests.truncate(self.options.reconcile_fanout);
+        dests.truncate(RECONCILE_FANOUT);
         if dests.is_empty() {
             return None;
         }
@@ -1972,6 +1831,21 @@ fn migration_gain(base: f64, obj: f64) -> Option<f64> {
     Some(improvement / base.abs().max(MIGRATION_BASE_FLOOR))
 }
 
+/// Re-key a lifecycle's per-slot records after a structural event:
+/// `rekey` maps a `(machine, slot)` to its new numbering, or to `None`
+/// when the slot is gone. Record order is kept.
+fn rekey_records(
+    pending: &mut BTreeMap<(usize, usize), f64>,
+    arrivals: &mut Vec<(usize, usize)>,
+    rekey: impl Fn((usize, usize)) -> Option<(usize, usize)>,
+) {
+    *pending = std::mem::take(pending)
+        .into_iter()
+        .filter_map(|(key, v)| Some((rekey(key)?, v)))
+        .collect();
+    *arrivals = arrivals.iter().filter_map(|&a| rekey(a)).collect();
+}
+
 /// Distinct mutable borrows of two vector slots.
 fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
     assert_ne!(a, b);
@@ -2018,13 +1892,17 @@ mod tests {
     }
 
     fn small_fleet() -> ControlPlane {
+        small_fleet_with(ControlPlaneOptions::default())
+    }
+
+    fn small_fleet_with(options: ControlPlaneOptions) -> ControlPlane {
         let machines = vec![
             machine_with(&[("a0", 18, 2.0), ("a1", 6, 2.0)]),
             machine_with(&[("b0", 1, 1.0)]),
             machine_with(&[]),
         ];
         let spaces = vec![SearchSpace::cpu_only(0.25); 3];
-        ControlPlane::new(machines, spaces, ControlPlaneOptions::default())
+        ControlPlane::new(machines, spaces, options)
     }
 
     #[test]
@@ -2066,7 +1944,7 @@ mod tests {
         });
         assert_eq!(outcome.resolved, vec![0], "only the host re-solves");
         assert!(
-            outcome.migration.is_none(),
+            outcome.migrations.is_empty(),
             "intensity scaling is minor (§6.1)"
         );
         assert!(outcome.action.contains("minor"), "{}", outcome.action);
@@ -2139,7 +2017,7 @@ mod tests {
             let w = warm.process_event(we);
             let c = cold.process_event(ce);
             assert_eq!(w.resolved, c.resolved);
-            assert_eq!(w.migration, c.migration);
+            assert_eq!(w.migrations, c.migrations);
             assert_eq!(
                 w.objective.to_bits(),
                 c.objective.to_bits(),
@@ -2166,7 +2044,9 @@ mod tests {
             tenant: Box::new(tenant),
             qos: QoS::default(),
         });
-        let mig = outcome.migration.as_ref().expect("expected a migration");
+        let [mig] = outcome.migrations.as_slice() else {
+            panic!("expected one migration: {outcome:?}");
+        };
         assert_eq!(mig.tenant, "hot");
         assert_eq!(mig.from, 0);
         assert_eq!(mig.to, 2, "least-loaded destination wins");
@@ -2287,7 +2167,7 @@ mod tests {
     fn drift_a_heavy(
         cross_class: bool,
         options: ControlPlaneOptions,
-    ) -> (ControlPlane, EventOutcome) {
+    ) -> (ControlPlane, BatchOutcome) {
         let loaded = machine_with(&[("a", 6, 1.0), ("b", 18, 4.0)]);
         let light = if cross_class {
             let mut fast = PhysicalMachine::paper_testbed();
@@ -2329,7 +2209,9 @@ mod tests {
             },
         );
         assert!(outcome.action.contains("major"), "{}", outcome.action);
-        let mig = outcome.migration.as_ref().expect("expected a migration");
+        let [mig] = outcome.migrations.as_slice() else {
+            panic!("expected one migration: {outcome:?}");
+        };
         assert_eq!(mig.tenant, "a");
         assert_eq!((mig.from, mig.to), (0, 1));
         assert!(mig.estimated_gain > plane.options().migration_threshold);
@@ -2364,7 +2246,7 @@ mod tests {
             },
         );
         assert!(outcome.action.contains("major"), "{}", outcome.action);
-        assert!(outcome.migration.is_none(), "{outcome:?}");
+        assert!(outcome.migrations.is_empty(), "{outcome:?}");
         assert_eq!(plane.machine(0).tenant_count(), 2);
         assert_eq!(plane.stats().migrations, 0);
     }
@@ -2381,7 +2263,9 @@ mod tests {
                 ..ControlPlaneOptions::default()
             },
         );
-        let mig = outcome.migration.as_ref().expect("expected a migration");
+        let [mig] = outcome.migrations.as_slice() else {
+            panic!("expected one migration: {outcome:?}");
+        };
         assert_eq!((mig.from, mig.to), (0, 1));
         assert!(
             mig.recalibrated,
@@ -2426,7 +2310,7 @@ mod tests {
             qos: QoS::default(),
         });
         assert!(
-            outcome.migration.is_none(),
+            outcome.migrations.is_empty(),
             "prohibitive surcharge must gate the cross-class move: {outcome:?}"
         );
         assert_eq!(plane.machine(0).tenant_count(), 3);
@@ -2507,6 +2391,109 @@ mod tests {
         let batch_waves = batched.stats().waves - waves_before_batch;
         assert_eq!(serial_waves, 3, "serial: one wave per event");
         assert_eq!(batch_waves, 1, "batched: one wave for the whole batch");
+    }
+
+    #[test]
+    fn a_one_event_batch_is_the_event() {
+        // Twin planes, one fed through process_event and one through
+        // one-event process_batch calls, must stay identical in every
+        // outcome, log entry and snapshot byte — for all six event
+        // kinds, with adaptive tuning moving the guardrail.
+        let options = || ControlPlaneOptions {
+            adaptive: Some(eager_tuning()),
+            ..ControlPlaneOptions::default()
+        };
+        let mut single = small_fleet_with(options());
+        let mut batched = small_fleet_with(options());
+        let hot = Tenant::new(
+            "hot",
+            Engine::pg(),
+            tpch::catalog(0.1),
+            tpch::query_workload(18, 3.0),
+        )
+        .unwrap();
+        let events = vec![
+            FleetEvent::MachineDecommissioned { machine: 2 },
+            FleetEvent::WorkloadScaled {
+                machine: 0,
+                slot: 0,
+                factor: 1.5,
+            },
+            FleetEvent::WorkloadChanged {
+                machine: 0,
+                slot: 1,
+                workload: tpch::query_workload(21, 5.0),
+            },
+            FleetEvent::TenantArrived {
+                machine: 1,
+                tenant: Box::new(hot),
+                qos: QoS::default(),
+            },
+        ];
+        // Feed one event to both planes and require them to agree.
+        fn step(
+            single: &mut ControlPlane,
+            batched: &mut ControlPlane,
+            event: FleetEvent,
+        ) -> String {
+            let one = single.process_event(event.clone());
+            let batch = batched.process_batch(std::slice::from_ref(&event));
+            assert_eq!(one.events, 1);
+            assert!(one.migrations.len() <= 1, "{one:?}");
+            assert_eq!(
+                BatchOutcome {
+                    latency_ms: 0.0,
+                    ..one.clone()
+                },
+                BatchOutcome {
+                    latency_ms: 0.0,
+                    ..batch
+                },
+            );
+            assert_eq!(single.decision_log(), batched.decision_log());
+            assert_eq!(single.snapshot().to_json(), batched.snapshot().to_json());
+            one.action
+        }
+        let mut actions: Vec<String> = Vec::new();
+        for event in events {
+            actions.push(step(&mut single, &mut batched, event));
+        }
+        for _ in 0..4 {
+            let slots: Vec<(usize, usize)> = (0..single.machine_count())
+                .flat_map(|m| (0..single.machine(m).tenant_count()).map(move |s| (m, s)))
+                .collect();
+            for (machine, slot) in slots {
+                let event = FleetEvent::ActualsReported { machine, slot };
+                actions.push(step(&mut single, &mut batched, event));
+            }
+        }
+        let event = FleetEvent::TenantDeparted {
+            machine: 0,
+            slot: 0,
+        };
+        actions.push(step(&mut single, &mut batched, event));
+
+        for kind in [
+            "machine-decommissioned m2",
+            "workload-scaled m0 t0 (minor)",
+            "workload-changed m0 t1 (",
+            "tenant-arrived m1 t",
+            "actuals-reported ",
+            "tenant-departed m0 (",
+        ] {
+            assert!(
+                actions.iter().any(|a| a.starts_with(kind)),
+                "no {kind:?} action in {actions:?}"
+            );
+        }
+        assert!(
+            actions.iter().any(|a| a.ends_with("(shadow)")),
+            "the guardrail must move: {actions:?}"
+        );
+        assert!(
+            !actions.iter().any(|a| a.starts_with("batch")),
+            "{actions:?}"
+        );
     }
 
     #[test]

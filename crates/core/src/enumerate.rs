@@ -818,7 +818,11 @@ fn solve_dp(
                     rest.0 + u32::from(!cell.within_limit),
                     cell.weighted + rest.1,
                 );
-                if v.0 == target.0 && (v.1 - target.1).abs() <= 1e-9 * target.1.abs().max(1.0) {
+                // Exact equality first: `inf - inf` is NaN, so the
+                // tolerance test alone never matches an infinite cost.
+                if v.0 == target.0
+                    && (v.1 == target.1 || (v.1 - target.1).abs() <= 1e-9 * target.1.abs().max(1.0))
+                {
                     chosen.push(*cell);
                     for &j in &lattice.varied_idx {
                         left[j] -= cell.units[j];
@@ -2086,6 +2090,32 @@ mod tests {
             r.allocations
         );
         assert!((r.allocations[1].cpu() - 0.05).abs() < 1e-9);
+    }
+
+    #[test]
+    fn infinite_costs_reconstruct_instead_of_panicking() {
+        // `inf - inf` is NaN, so the reconstruction's tolerance test
+        // alone never matches an infinite DP value.
+        let space = SearchSpace::cpu_only(0.5);
+        let m0 = FnCostModel::new(|_: Allocation| f64::INFINITY);
+        let m1 = FnCostModel::new(|a: Allocation| 10.0 / a.cpu());
+        let models: Vec<&dyn CostModel> = vec![&m0, &m1];
+        let qos = qos_n(2);
+        let options = SearchOptions::default();
+        let exact = exhaustive_search_with(&space, &qos, &models, &options);
+        assert_eq!(exact.weighted_cost, f64::INFINITY);
+        assert_eq!(exact.allocations.len(), 2);
+        let c2f = try_coarse_to_fine_search_with(
+            &space,
+            &qos,
+            &models,
+            &CoarseToFineOptions::auto(&space, 2),
+            &options,
+        )
+        .expect("a feasible grid exists");
+        assert_eq!(c2f.weighted_cost, f64::INFINITY);
+        let greedy = greedy_search_with(&space, &qos, &models, &options);
+        assert_eq!(greedy.weighted_cost, f64::INFINITY);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use advisor::{
 };
 pub use controlplane::{
     AdaptiveTuningOptions, BatchOutcome, ControlPlane, ControlPlaneOptions, ControlPlaneStats,
-    Decision, DecisionLog, EventOutcome, FleetEvent, Migration,
+    Decision, DecisionLog, FleetEvent, Migration,
 };
 pub use costmodel::{
     ActualCostModel, Adaption, AdaptionOptions, AdaptiveCostModel, AxisCorrection, CalibratedModel,

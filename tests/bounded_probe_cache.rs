@@ -135,7 +135,7 @@ fn check_capped_equals_uncapped(drifts: &[(u32, usize, usize, f64)], capacity: u
         let c = capped.process_event(event);
         assert_eq!(c.action, u.action, "event {e}: actions diverge");
         assert_eq!(c.resolved, u.resolved, "event {e}: resolved sets diverge");
-        assert_eq!(c.migration, u.migration, "event {e}: migrations diverge");
+        assert_eq!(c.migrations, u.migrations, "event {e}: migrations diverge");
         assert_eq!(
             c.objective.to_bits(),
             u.objective.to_bits(),
