@@ -73,10 +73,10 @@ fn search_advisor() -> vda_core::advisor::VirtualizationDesignAdvisor {
 fn bench_search(c: &mut Criterion) {
     let adv = search_advisor();
     let space = SearchSpace::cpu_only(FIXED_512MB_SHARE);
-    c.bench_function("greedy_search_4_workloads", |b| {
+    c.bench_function("greedy_4_workloads", |b| {
         b.iter(|| black_box(adv.recommend(&space)))
     });
-    c.bench_function("exhaustive_search_4_workloads", |b| {
+    c.bench_function("exhaustive_4_workloads", |b| {
         b.iter(|| black_box(adv.recommend_exhaustive(&space)))
     });
     c.bench_function("optimal_actual_4_workloads", |b| {
@@ -84,10 +84,10 @@ fn bench_search(c: &mut Criterion) {
     });
     let mut serial_adv = search_advisor();
     serial_adv.set_search_options(vda_core::enumerate::SearchOptions::serial());
-    c.bench_function("greedy_search_4_workloads_serial_eval", |b| {
+    c.bench_function("greedy_4_workloads_serial_eval", |b| {
         b.iter(|| black_box(serial_adv.recommend(&space)))
     });
-    c.bench_function("exhaustive_search_4_workloads_serial_eval", |b| {
+    c.bench_function("exhaustive_4_workloads_serial_eval", |b| {
         b.iter(|| black_box(serial_adv.recommend_exhaustive(&space)))
     });
 }

@@ -28,7 +28,7 @@ use vda_core::costmodel::ProbeCache;
 use vda_core::metrics::CostAccounting;
 use vda_core::problem::{QoS, SearchSpace};
 use vda_core::tenant::Tenant;
-use vda_core::{coarse_to_fine_search_with, CoarseToFineOptions, SearchResult};
+use vda_core::{solve, CoarseToFineOptions, SearchResult, Strategy};
 use vda_core::{SearchOptions, VirtualizationDesignAdvisor};
 
 /// Machines in the fleet.
@@ -118,9 +118,9 @@ fn drift_for(p: usize) -> (usize, f64) {
 /// search. Returns the result and the optimizer calls it paid.
 fn cold_solve(adv: &VirtualizationDesignAdvisor, space: &SearchSpace) -> (SearchResult, u64) {
     let models = cold_estimators(adv);
-    let c2f = CoarseToFineOptions::auto(space, models.len());
-    let result =
-        coarse_to_fine_search_with(space, adv.qos(), &models, &c2f, &SearchOptions::default());
+    let c2f = Strategy::CoarseToFine(CoarseToFineOptions::auto(space, models.len()));
+    let result = solve(space, adv.qos(), &models, &c2f, &SearchOptions::default())
+        .expect("the bench grid hosts its tenants");
     let calls = CostAccounting::tally(&models).optimizer_calls;
     (result, calls)
 }

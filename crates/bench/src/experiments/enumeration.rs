@@ -26,11 +26,8 @@
 use crate::harness::{fmt_f, Report, Table};
 use crate::setups::{self, cold_estimators, EngineChoice, FIXED_512MB_SHARE};
 use std::time::Instant;
-use vda_core::costmodel::{CalibrationConfig, WhatIfEstimator};
-use vda_core::enumerate::{
-    coarse_to_fine_search_with, exhaustive_search_with, greedy_search_with, CoarseToFineOptions,
-    SearchOptions, SearchResult,
-};
+use vda_core::costmodel::CalibrationConfig;
+use vda_core::enumerate::{solve, CoarseToFineOptions, SearchOptions, SearchResult, Strategy};
 use vda_core::jsonio::fmt_f64;
 use vda_core::metrics::CostAccounting;
 use vda_core::problem::{Resource, SearchSpace};
@@ -82,20 +79,6 @@ fn bench_advisor() -> VirtualizationDesignAdvisor {
     )
 }
 
-fn search(
-    exhaustive: bool,
-    space: &SearchSpace,
-    qos: &[vda_core::problem::QoS],
-    models: &[WhatIfEstimator<'_>],
-    options: &SearchOptions,
-) -> SearchResult {
-    if exhaustive {
-        exhaustive_search_with(space, qos, models, options)
-    } else {
-        greedy_search_with(space, qos, models, options)
-    }
-}
-
 /// Timed repetitions per path; the minimum is reported to suppress
 /// scheduling noise on small problems.
 const REPS: usize = 5;
@@ -104,7 +87,7 @@ fn measure(
     adv: &VirtualizationDesignAdvisor,
     space: &SearchSpace,
     name: &'static str,
-    exhaustive: bool,
+    strategy: Strategy,
 ) -> AlgoMeasurement {
     let qos = adv.qos();
 
@@ -117,26 +100,28 @@ fn measure(
     for _ in 0..REPS {
         let serial_models = cold_estimators(adv);
         let t0 = Instant::now();
-        let r = search(
-            exhaustive,
+        let r = solve(
             space,
             qos,
             &serial_models,
+            &strategy,
             &SearchOptions::serial(),
-        );
+        )
+        .expect("the bench grid hosts its workloads");
         serial_ms = serial_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         serial_acct = CostAccounting::tally(&serial_models);
         serial = Some(r);
 
         let parallel_models = cold_estimators(adv);
         let t1 = Instant::now();
-        let r = search(
-            exhaustive,
+        let r = solve(
             space,
             qos,
             &parallel_models,
+            &strategy,
             &SearchOptions::parallel(),
-        );
+        )
+        .expect("the bench grid hosts its workloads");
         parallel_ms = parallel_ms.min(t1.elapsed().as_secs_f64() * 1e3);
         parallel_acct = CostAccounting::tally(&parallel_models);
         parallel = Some(r);
@@ -308,14 +293,17 @@ fn measure_c2f_pair(
 
     let full_models = cold_estimators(adv);
     let t0 = Instant::now();
-    let full = exhaustive_search_with(space, qos, &full_models, &options);
+    let full = solve(space, qos, &full_models, &Strategy::Exhaustive, &options)
+        .expect("the bench grid hosts its workloads");
     let full_ms = t0.elapsed().as_secs_f64() * 1e3;
     let full_acct = CostAccounting::tally(&full_models);
 
     let c2f_opts = CoarseToFineOptions::auto(space, n);
+    let c2f_strategy = Strategy::CoarseToFine(c2f_opts.clone());
     let c2f_models = cold_estimators(adv);
     let t1 = Instant::now();
-    let c2f = coarse_to_fine_search_with(space, qos, &c2f_models, &c2f_opts, &options);
+    let c2f = solve(space, qos, &c2f_models, &c2f_strategy, &options)
+        .expect("the bench grid hosts its workloads");
     let c2f_ms = t1.elapsed().as_secs_f64() * 1e3;
     let c2f_acct = CostAccounting::tally(&c2f_models);
 
@@ -413,8 +401,8 @@ pub fn measurements() -> EnumerationBench {
     let space = SearchSpace::cpu_only(FIXED_512MB_SHARE);
     EnumerationBench {
         algos: vec![
-            measure(&adv, &space, "greedy", false),
-            measure(&adv, &space, "exhaustive", true),
+            measure(&adv, &space, "greedy", Strategy::Greedy),
+            measure(&adv, &space, "exhaustive", Strategy::Exhaustive),
         ],
         c2f: measure_c2f(),
         c2f_limited: measure_c2f_limited(),

@@ -19,7 +19,6 @@
 pub mod benchcheck;
 pub mod experiments;
 pub mod harness;
-pub mod jsonval;
 pub mod setups;
 
 pub use harness::{fmt_f, fmt_pct, Report, Table};

@@ -7,8 +7,7 @@
 //! simulated executor, and the actual-cost optimum for
 //! advisor-vs-optimal comparisons (§7.6–7.7).
 //!
-//! Every search runs through the
-//! [`CostModel`](crate::costmodel::CostModel) interface:
+//! Every search runs through the [`CostModel`] interface:
 //! [`VirtualizationDesignAdvisor::recommend`] /
 //! [`VirtualizationDesignAdvisor::recommend_exhaustive`] build one
 //! [`WhatIfEstimator`] per tenant (all sharing the advisor's
@@ -23,11 +22,10 @@
 //! never pair a tenant with another engine's calibration.
 
 use crate::costmodel::calibration::{CalibratedModel, CalibrationConfig, Calibrator};
-use crate::costmodel::model::ActualCostModel;
+use crate::costmodel::model::{ActualCostModel, CostModel};
 use crate::costmodel::whatif::{ProbeCache, SharedEstimateCache, WhatIfEstimator};
 use crate::enumerate::{
-    coarse_to_fine_search_warm, exhaustive_search_with, greedy_search_with, CoarseToFineOptions,
-    SearchOptions, SearchResult, WarmStart,
+    solve, CoarseToFineOptions, SearchOptions, SearchResult, Strategy, WarmStart,
 };
 use crate::metrics::CostAccounting;
 use crate::problem::{Allocation, QoS, SearchSpace};
@@ -436,6 +434,18 @@ impl VirtualizationDesignAdvisor {
         (0..self.tenants.len()).map(|i| self.estimator(i)).collect()
     }
 
+    /// [`solve`] over this machine's QoS vector and search options;
+    /// panics on a [`SolveError`](crate::enumerate::SolveError).
+    fn search<M: CostModel>(
+        &self,
+        space: &SearchSpace,
+        models: &[M],
+        strategy: &Strategy,
+    ) -> SearchResult {
+        solve(space, &self.qos, models, strategy, &self.search_options)
+            .unwrap_or_else(|e| panic!("advisor search: {e}"))
+    }
+
     /// One executor-backed ground-truth oracle per tenant.
     pub fn actual_models(&self) -> Vec<ActualCostModel<'_>> {
         self.tenants
@@ -448,7 +458,7 @@ impl VirtualizationDesignAdvisor {
     /// enumerator (§4.5).
     pub fn recommend(&self, space: &SearchSpace) -> Recommendation {
         let estimators = self.estimators();
-        let result = greedy_search_with(space, &self.qos, &estimators, &self.search_options);
+        let result = self.search(space, &estimators, &Strategy::Greedy);
         let accounting = CostAccounting::tally(&estimators);
         Recommendation {
             result,
@@ -461,7 +471,7 @@ impl VirtualizationDesignAdvisor {
     /// exhaustive-search comparison for §4.5).
     pub fn recommend_exhaustive(&self, space: &SearchSpace) -> Recommendation {
         let estimators = self.estimators();
-        let result = exhaustive_search_with(space, &self.qos, &estimators, &self.search_options);
+        let result = self.search(space, &estimators, &Strategy::Exhaustive);
         let accounting = CostAccounting::tally(&estimators);
         Recommendation {
             result,
@@ -471,8 +481,8 @@ impl VirtualizationDesignAdvisor {
     }
 
     /// Warm-started coarse-to-fine recommendation: bit-identical to a
-    /// cold [`coarse_to_fine_search_with`](crate::enumerate::coarse_to_fine_search_with)
-    /// over the same estimators, but period-over-period re-runs reuse
+    /// cold [`Strategy::CoarseToFine`] [`solve`] over the same
+    /// estimators, but period-over-period re-runs reuse
     /// the previous solve. The warm key folds in every calibrated
     /// model's fingerprint, so a recalibration (or QoS / search-space
     /// change) cold re-solves automatically; per-tenant workload
@@ -488,17 +498,17 @@ impl VirtualizationDesignAdvisor {
         let salt = salt_h.finish();
         let fingerprints: Vec<u64> = self.tenants.iter().map(Tenant::fingerprint).collect();
         let mut warm = self.warm.borrow_mut();
-        let result = coarse_to_fine_search_warm(
-            space,
-            &self.qos,
-            &estimators,
-            &c2f,
-            &self.search_options,
-            salt,
-            &fingerprints,
-            &mut warm,
-        )
-        .expect("no grid can host the workloads (min_share too large)");
+        let result = warm
+            .solve(
+                space,
+                &self.qos,
+                &estimators,
+                &c2f,
+                &self.search_options,
+                salt,
+                &fingerprints,
+            )
+            .unwrap_or_else(|e| panic!("recommend_c2f_warm: {e}"));
         let accounting = CostAccounting::tally(&estimators);
         Recommendation {
             result,
@@ -567,12 +577,7 @@ impl VirtualizationDesignAdvisor {
     /// exhaustively enumerating all feasible allocations and measuring
     /// performance in each one" (§7.6).
     pub fn optimal_actual(&self, space: &SearchSpace) -> SearchResult {
-        exhaustive_search_with(
-            space,
-            &self.qos,
-            &self.actual_models(),
-            &self.search_options,
-        )
+        self.search(space, &self.actual_models(), &Strategy::Exhaustive)
     }
 
     /// The default (1/N) allocation vector.

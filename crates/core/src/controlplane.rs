@@ -68,8 +68,9 @@ use crate::advisor::{Recommendation, VirtualizationDesignAdvisor};
 use crate::costmodel::adaptive::{refit, Adaption, AdaptionOptions, RuntimeAdaptionStorage};
 use crate::costmodel::calibration::{CalibratedModel, Calibrator};
 use crate::costmodel::whatif::{ProbeCache, WhatIfEstimator};
+use crate::dynamic::change_metric;
 use crate::enumerate::{
-    try_coarse_to_fine_search_with, CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
+    solve, CoarseToFineOptions, MachineClass, SearchOptions, SearchResult, Strategy,
 };
 use crate::guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 use crate::metrics::{percentile, Clock, CostAccounting};
@@ -1250,12 +1251,7 @@ impl ControlPlane {
     /// [`ControlPlaneOptions::change_threshold`].
     fn classify_major(&mut self, m: usize, slot: usize, before: f64) -> bool {
         let after = self.per_query_estimate(m, slot);
-        let change = if before > 0.0 {
-            (after - before).abs() / before
-        } else {
-            0.0
-        };
-        change > self.options.change_threshold
+        change_metric(before, after) > self.options.change_threshold
     }
 
     /// Per-query cost estimate of tenant `slot` on machine `m` at the
@@ -1456,11 +1452,10 @@ impl ControlPlane {
         estimators: &[WhatIfEstimator<'_>],
     ) -> (Option<f64>, u64) {
         let space = &self.spaces[m];
-        let c2f = CoarseToFineOptions::auto(space, estimators.len());
-        let result =
-            try_coarse_to_fine_search_with(space, qos, estimators, &c2f, &SearchOptions::default());
+        let strategy = Strategy::CoarseToFine(CoarseToFineOptions::auto(space, estimators.len()));
+        let result = solve(space, qos, estimators, &strategy, &SearchOptions::default());
         let calls = CostAccounting::tally(estimators).optimizer_calls;
-        (result.map(|r| r.weighted_cost), calls)
+        (result.ok().map(|r| r.weighted_cost), calls)
     }
 
     // ------------------------------------------------------------------

@@ -232,7 +232,7 @@ impl CalibratedModel {
     /// their fingerprints agree, so caches keyed by it (the fleet
     /// [`ProbeCache`](crate::costmodel::whatif::ProbeCache), the
     /// warm-start state of
-    /// [`coarse_to_fine_search_warm`](crate::enumerate::coarse_to_fine_search_warm))
+    /// [`WarmStart::solve`](crate::enumerate::WarmStart::solve))
     /// are invalidated exactly when a recalibration actually changed
     /// the model — an estimate priced under an old calibration is
     /// never served under a new one.

@@ -179,11 +179,7 @@ impl DynamicConfigManager {
             let est = advisor.estimator(i);
             let per_query = est.estimate(reference).avg_cost_per_statement;
             let prev = self.states[i].prev_per_query_estimate;
-            let change = if prev > 0.0 {
-                (per_query - prev).abs() / prev
-            } else {
-                0.0
-            };
+            let change = change_metric(prev, per_query);
             change_metrics.push(change);
 
             // Monitoring observation.
@@ -272,9 +268,29 @@ impl DynamicConfigManager {
         }
     }
 }
+
+/// The §6.1 change metric: the relative change `|after − before| /
+/// before` of a per-query cost estimate, 0 when there is no positive
+/// baseline to compare against.
+pub(crate) fn change_metric(before: f64, after: f64) -> f64 {
+    if before > 0.0 {
+        (after - before).abs() / before
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn change_metric_is_relative_and_zero_without_a_baseline() {
+        assert_eq!(change_metric(2.0, 3.0), 0.5);
+        assert_eq!(change_metric(2.0, 1.0), 0.5);
+        assert_eq!(change_metric(0.0, 5.0), 0.0);
+        assert_eq!(change_metric(-1.0, 5.0), 0.0);
+    }
     use crate::problem::QoS;
     use crate::tenant::Tenant;
     use vda_simdb::engines::Engine;

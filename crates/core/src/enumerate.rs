@@ -1,28 +1,35 @@
 //! Configuration enumeration (§4.5), over an arbitrary axis set.
 //!
-//! [`greedy_search`] is the paper's Figure 11 algorithm verbatim:
-//! start from equal shares, and in each iteration consider shifting a
-//! share δ of some resource from the workload that suffers least to
-//! the workload that benefits most, honoring degradation limits `L_i`
-//! and weighting costs by gain factors `G_i`. The search terminates
-//! when no beneficial reallocation exists.
+//! The paper poses one problem — minimize `Σ G_i·Cost_i` subject to
+//! the degradation limits `L_i` — and [`solve`] is its one entry
+//! point; the search method is data, a [`Strategy`]:
 //!
-//! [`exhaustive_search`] finds the *true* optimum over the same
-//! δ-quantized allocation grid. Because the objective `Σ G_i·Cost_i`
-//! is separable (each workload's cost depends only on its own
-//! allocation), the grid optimum is computable exactly by dynamic
-//! programming over remaining resource budgets instead of enumerating
-//! every composition — same answer as brute force, polynomial cost.
-//! The paper uses exhaustive search to show greedy is "very often
-//! optimal and always within 5 % of the optimal" (§4.5, §7.6–7.7).
+//! * [`Strategy::Greedy`] is the paper's Figure 11 algorithm verbatim:
+//!   start from equal shares, and in each iteration consider shifting
+//!   a share δ of some resource from the workload that suffers least
+//!   to the workload that benefits most, honoring degradation limits
+//!   `L_i` and weighting costs by gain factors `G_i`. The search
+//!   terminates when no beneficial reallocation exists.
+//! * [`Strategy::Exhaustive`] finds the *true* optimum over the same
+//!   δ-quantized allocation grid. Because the objective `Σ G_i·Cost_i`
+//!   is separable (each workload's cost depends only on its own
+//!   allocation), the grid optimum is computable exactly by dynamic
+//!   programming over remaining resource budgets instead of
+//!   enumerating every composition — same answer as brute force,
+//!   polynomial cost. The paper uses exhaustive search to show greedy
+//!   is "very often optimal and always within 5 % of the optimal"
+//!   (§4.5, §7.6–7.7).
+//! * [`Strategy::CoarseToFine`] reaches the same grid optimum through
+//!   a coarse-δ solve plus windowed fine refinement, at a fraction of
+//!   the optimizer calls — including under finite degradation limits,
+//!   where the refinement windows track the limit boundary (see
+//!   [`CoarseToFineOptions`]). [`WarmStart::solve`] is its stateful
+//!   period-over-period form.
 //!
-//! [`coarse_to_fine_search`] reaches the same grid optimum through a
-//! coarse-δ solve plus windowed fine refinement, at a fraction of the
-//! optimizer calls — including under finite degradation limits, where
-//! the refinement windows track the limit boundary (see the function
-//! docs). All three searches report jointly infeasible limits the
-//! same way: a best-effort allocation with the violations flagged in
-//! [`SearchResult::limits_met`], never a panic.
+//! All three report jointly infeasible limits the same way: a
+//! best-effort allocation with the violations flagged in
+//! [`SearchResult::limits_met`], never an error. Malformed input is a
+//! [`SolveError`], never a panic.
 //!
 //! Every algorithm here is **M-dimensional**: the varied axes come
 //! from the search space's [`AxisSet`](crate::problem::AxisSet), the DP budget lattice has one
@@ -33,9 +40,9 @@
 //! results are bit-identical (`tests/m_axes.rs` pins this against a
 //! frozen copy of the legacy 2-axis DP).
 //!
-//! Both algorithms consume one [`CostModel`] per workload — what-if
+//! Every strategy consumes one [`CostModel`] per workload — what-if
 //! estimators, refined models, the executor oracle, or synthetic
-//! models — and evaluate each iteration's candidate set as a batch.
+//! models — and evaluates each iteration's candidate set as a batch.
 //! With [`SearchOptions::parallel`] the batch fans out across threads;
 //! candidates are deduplicated per (workload, allocation) before
 //! evaluation, so the parallel and serial paths issue *identical*
@@ -105,6 +112,139 @@ impl SearchOptions {
     /// Parallel batch evaluation.
     pub fn parallel() -> Self {
         SearchOptions { parallel: true }
+    }
+}
+
+/// Which search [`solve`] runs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Strategy {
+    /// The Figure 11 greedy enumerator (cheap, near-optimal). It needs
+    /// no grid budget, so it answers even on grids too coarse for the
+    /// DP strategies.
+    Greedy,
+    /// The full-grid DP optimum.
+    Exhaustive,
+    /// Coarse-to-fine DP refinement: the full-grid optimum on separable
+    /// costs, at far fewer probes.
+    CoarseToFine(CoarseToFineOptions),
+}
+
+/// Why [`solve`] (or [`WarmStart::solve`]) could not search.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SolveError {
+    /// No workloads to configure.
+    NoWorkloads,
+    /// The QoS vector and the model set differ in length.
+    QosMismatch {
+        /// `qos.len()`.
+        qos: usize,
+        /// `models.len()`.
+        models: usize,
+    },
+    /// The δ grid of `axis` has fewer units than `workloads` times
+    /// their minimum share (grid strategies only).
+    GridTooCoarse {
+        /// The first varied axis that cannot host every workload.
+        axis: Resource,
+        /// Number of workloads asked for.
+        workloads: usize,
+    },
+    /// [`CoarseToFineOptions::window_steps`] is not finite and
+    /// positive.
+    InvalidWindow {
+        /// The rejected value.
+        window_steps: f64,
+    },
+}
+
+impl std::fmt::Display for SolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            SolveError::NoWorkloads => write!(f, "at least one workload is required"),
+            SolveError::QosMismatch { qos, models } => {
+                write!(f, "{qos} QoS entries for {models} workloads")
+            }
+            SolveError::GridTooCoarse { axis, workloads } => write!(
+                f,
+                "the {} grid cannot host {workloads} workloads (min_share too large)",
+                axis.name()
+            ),
+            SolveError::InvalidWindow { window_steps } => {
+                write!(
+                    f,
+                    "window_steps must be finite and positive, got {window_steps}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for SolveError {}
+
+/// Solve the §4.5 problem over `space` with `strategy`: one cost model
+/// and one QoS entry (`L_i`, `G_i`) per workload.
+///
+/// Jointly infeasible degradation limits are not an error: every
+/// strategy returns a best-effort allocation with the violations
+/// flagged in [`SearchResult::limits_met`]. The grid strategies
+/// minimize (unmet limits, weighted cost) lexicographically — fewest
+/// violations first, cheapest second.
+///
+/// # Errors
+///
+/// [`SolveError::NoWorkloads`], [`SolveError::QosMismatch`] and
+/// [`SolveError::InvalidWindow`] reject malformed input before any
+/// probe. [`SolveError::GridTooCoarse`] is returned by
+/// [`Strategy::Exhaustive`] and [`Strategy::CoarseToFine`] only, once
+/// the fine grid turns out unable to host every workload;
+/// [`Strategy::Greedy`] answers on any grid.
+pub fn solve<M: CostModel>(
+    space: &SearchSpace,
+    qos: &[QoS],
+    models: &[M],
+    strategy: &Strategy,
+    options: &SearchOptions,
+) -> Result<SearchResult, SolveError> {
+    let c2f = match strategy {
+        Strategy::CoarseToFine(c2f) => Some(c2f),
+        Strategy::Greedy | Strategy::Exhaustive => None,
+    };
+    validate(space, qos, models.len(), c2f)?;
+    match strategy {
+        Strategy::Greedy => Ok(greedy(space, qos, models, options)),
+        Strategy::Exhaustive => full_grid(space, qos, models, options),
+        Strategy::CoarseToFine(c2f) => coarse_to_fine(space, qos, models, c2f, options, None),
+    }
+}
+
+/// The input checks every search shares: at least one workload, one
+/// QoS entry per workload, and — for coarse-to-fine — a usable window.
+fn validate(
+    space: &SearchSpace,
+    qos: &[QoS],
+    n: usize,
+    c2f: Option<&CoarseToFineOptions>,
+) -> Result<(), SolveError> {
+    assert!(
+        !space.varied.is_empty(),
+        "at least one resource must be varied"
+    );
+    if n == 0 {
+        return Err(SolveError::NoWorkloads);
+    }
+    if qos.len() != n {
+        return Err(SolveError::QosMismatch {
+            qos: qos.len(),
+            models: n,
+        });
+    }
+    match c2f {
+        Some(c) if !(c.window_steps.is_finite() && c.window_steps > 0.0) => {
+            Err(SolveError::InvalidWindow {
+                window_steps: c.window_steps,
+            })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -231,27 +371,16 @@ impl<'m, M: CostModel> Evaluator<'m, M> {
     }
 }
 
-/// The Figure 11 greedy configuration enumerator with default
-/// (parallel) candidate evaluation.
-///
-/// One cost model per workload; `qos[i]` carries `L_i`/`G_i`. Returns
-/// the recommended allocations plus the iteration trace.
-pub fn greedy_search<M: CostModel>(space: &SearchSpace, qos: &[QoS], models: &[M]) -> SearchResult {
-    greedy_search_with(space, qos, models, &SearchOptions::default())
-}
-
-/// [`greedy_search`] with explicit evaluation options.
-pub fn greedy_search_with<M: CostModel>(
+/// The Figure 11 greedy configuration enumerator. Returns the
+/// recommended allocations plus the iteration trace.
+fn greedy<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
     models: &[M],
     options: &SearchOptions,
 ) -> SearchResult {
     let n = models.len();
-    assert!(n >= 1, "at least one workload");
-    assert_eq!(qos.len(), n, "one QoS entry per workload");
     let varied = space.varied();
-    assert!(!varied.is_empty(), "at least one resource must be varied");
     let eval = Evaluator::new(models, options);
 
     // Degradation baselines: Cost(W_i, [1,…,1]) over the varied
@@ -454,65 +583,25 @@ pub fn greedy_search_with<M: CostModel>(
     }
 }
 
-/// Exact optimum over the δ-quantized grid with default (parallel)
-/// candidate evaluation. See [`exhaustive_search_with`].
-pub fn exhaustive_search<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-) -> SearchResult {
-    exhaustive_search_with(space, qos, models, &SearchOptions::default())
-}
-
 /// Exact optimum over the δ-quantized grid, via DP on remaining budget
 /// units (one budget dimension per varied axis). Equivalent to
 /// brute-force enumeration of all grid allocations because the
-/// objective is separable per workload. The DP minimizes (unmet
-/// degradation limits, weighted cost) lexicographically, so whenever
-/// the limits are jointly satisfiable it returns the cheapest
-/// limit-respecting allocation, and when they are not it returns the
-/// best-effort optimum — fewest violations first, cheapest second —
-/// flagged via [`SearchResult::limits_met`], consistent with
-/// [`greedy_search`]. The per-workload cost tables over the grid are
-/// evaluated as one batch (in parallel when `options.parallel` is
+/// objective is separable per workload. Jointly infeasible limits
+/// yield the best-effort optimum flagged via
+/// [`SearchResult::limits_met`]; the only error is a grid too coarse
+/// to host every workload. The per-workload cost tables over the grid
+/// are evaluated as one batch (in parallel when `options.parallel` is
 /// set).
-pub fn exhaustive_search_with<M: CostModel>(
+fn full_grid<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
     models: &[M],
     options: &SearchOptions,
-) -> SearchResult {
-    let n = models.len();
-    for r in space.varied.iter() {
-        let delta = space.delta_for(r);
-        let units_total = (1.0 / delta).round() as usize;
-        let min_units = (space.min_share / delta).round().max(1.0) as usize;
-        assert!(
-            units_total >= n * min_units,
-            "min_share too large for {n} workloads on the {} axis",
-            r.name()
-        );
-    }
-    try_exhaustive_search_with(space, qos, models, options)
-        .expect("the asserted unit budget hosts every workload")
-}
-
-/// Non-panicking [`exhaustive_search_with`]: `None` only when the grid
-/// is too coarse to host every workload (fewer δ units than workloads
-/// times their minimum share on some axis). Jointly infeasible
-/// degradation limits are *not* a `None`: the DP returns the
-/// best-effort allocation with the violations flagged in
-/// [`SearchResult::limits_met`], exactly like [`greedy_search`]
-/// reports them. The fleet placement layer uses this to price
-/// overloaded machine subsets by their unmet-limit count instead of
-/// aborting.
-pub fn try_exhaustive_search_with<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    options: &SearchOptions,
-) -> Option<SearchResult> {
-    grid_search(space, qos, models, options, None).map(|s| s.result)
+) -> Result<SearchResult, SolveError> {
+    axis_ranges(space, models.len())?;
+    let grid = grid_search(space, qos, models, options, None)
+        .expect("the all-minimum-share choice fits every budget the grid can host");
+    Ok(grid.result)
 }
 
 /// One grid point's per-axis unit coordinates, in [`Resource::ALL`]
@@ -545,24 +634,26 @@ struct GridSolve {
 
 /// Per-axis `[min_units, max_units]` of one workload's share on the
 /// δ grid of `space` with `n` workloads; non-varied axes carry the
-/// placeholder `(0, 0)`. `None` when some varied axis has too few
+/// placeholder `(0, 0)`. Fails on the first varied axis with too few
 /// units to host them all.
-fn axis_ranges(space: &SearchSpace, n: usize) -> Option<[(usize, usize); Resource::COUNT]> {
+fn axis_ranges(
+    space: &SearchSpace,
+    n: usize,
+) -> Result<[(usize, usize); Resource::COUNT], SolveError> {
     let mut ranges = [(0usize, 0usize); Resource::COUNT];
     for r in space.varied.iter() {
-        ranges[r.index()] = unit_range_axis(space, r, n)?;
+        let delta = space.delta_for(r);
+        let units_total = (1.0 / delta).round() as usize;
+        let min_units = (space.min_share / delta).round().max(1.0) as usize;
+        if units_total < n * min_units {
+            return Err(SolveError::GridTooCoarse {
+                axis: r,
+                workloads: n,
+            });
+        }
+        ranges[r.index()] = (min_units, units_total - n.saturating_sub(1) * min_units);
     }
-    Some(ranges)
-}
-
-/// `[min_units, max_units]` of one workload's share on one varied
-/// axis; `None` when the axis's grid has too few units to host `n`
-/// workloads.
-fn unit_range_axis(space: &SearchSpace, r: Resource, n: usize) -> Option<(usize, usize)> {
-    let delta = space.delta_for(r);
-    let units_total = (1.0 / delta).round() as usize;
-    let min_units = (space.min_share / delta).round().max(1.0) as usize;
-    (units_total >= n * min_units).then(|| (min_units, units_total - (n - 1) * min_units))
+    Ok(ranges)
 }
 
 /// The per-axis budget lattice: total units per axis (0 for non-varied
@@ -584,39 +675,67 @@ struct BudgetLattice {
     wide: bool,
 }
 
-/// One 16-bit lane per axis in the packed unit representation; bit 15
-/// of every lane is the [`GUARD`] bit the SWAR feasibility check
+/// One 16-bit lane per axis in the narrow packed representation; bit
+/// 15 of every lane is the [`GUARD`] bit the SWAR feasibility check
 /// borrows against.
 const LANE_BITS: usize = 16;
 
-/// The guard bits of the packed representation (bit 15 of each lane).
+/// The guard bits of the narrow representation (bit 15 of each lane).
 const GUARD: u64 = 0x8000_8000_8000_8000;
 
 /// The guard bit of one 64-bit lane in the wide representation.
 const WIDE_GUARD: u64 = 1 << 63;
 
-/// Packed per-axis units: one 15-bit value per lane. Lane `j` holds
-/// axis `j`'s units, so a single guarded subtraction compares all
-/// axes at once. Only valid when every budget fits a lane
-/// (`!BudgetLattice::wide`).
-fn pack_units(units: &Units) -> u64 {
-    let mut p = 0u64;
-    for (j, &u) in units.iter().enumerate() {
-        p |= (u as u64) << (LANE_BITS * j);
-    }
-    p
+/// Per-axis units packed for the DP feasibility test: a remainder
+/// packed by [`Self::guarded`] fits a cell packed by [`Self::pack`]
+/// iff the guarded subtraction borrows no guard bit (a lane that would
+/// go negative borrows exactly its own guard bit, never its
+/// neighbour's).
+trait PackedUnits {
+    fn pack(units: &Units) -> Self;
+    fn guarded(left: &Units) -> Self;
+    fn fits(&self, cell: &Self) -> bool;
 }
 
-/// Wide packing: one full 64-bit lane per axis (bit 63 is the guard
-/// the feasibility subtraction borrows against). Handles any axis grid
+/// Narrow packing: one 15-bit value per 16-bit lane, so a single
+/// guarded subtraction compares all axes at once (the M-axis
+/// generalization must not tax the 2-axis hot path). Only valid when
+/// every budget fits a lane (`!BudgetLattice::wide`).
+impl PackedUnits for u64 {
+    fn pack(units: &Units) -> Self {
+        let mut p = 0u64;
+        for (j, &u) in units.iter().enumerate() {
+            p |= (u as u64) << (LANE_BITS * j);
+        }
+        p
+    }
+
+    fn guarded(left: &Units) -> Self {
+        Self::pack(left) | GUARD
+    }
+
+    fn fits(&self, cell: &Self) -> bool {
+        (self - cell) & GUARD == GUARD
+    }
+}
+
+/// Wide packing: one full 64-bit lane per axis. Handles any axis grid
 /// a `usize` unit count can express, at one guarded subtraction per
 /// axis instead of one for all axes.
-fn pack_units_wide(units: &Units) -> [u64; Resource::COUNT] {
-    let mut p = [0u64; Resource::COUNT];
-    for (j, &u) in units.iter().enumerate() {
-        p[j] = u as u64;
+impl PackedUnits for [u64; Resource::COUNT] {
+    fn pack(units: &Units) -> Self {
+        units.map(|u| u as u64)
     }
-    p
+
+    fn guarded(left: &Units) -> Self {
+        left.map(|u| u as u64 | WIDE_GUARD)
+    }
+
+    fn fits(&self, cell: &Self) -> bool {
+        self.iter()
+            .zip(cell)
+            .all(|(&l, &c)| (l - c) & WIDE_GUARD == WIDE_GUARD)
+    }
 }
 
 impl BudgetLattice {
@@ -709,10 +828,7 @@ fn grid_search<M: CostModel>(
     allowed: Option<&[Vec<Units>]>,
 ) -> Option<GridSolve> {
     let n = models.len();
-    assert!(n >= 1);
-    assert_eq!(qos.len(), n);
-    assert!(!space.varied.is_empty());
-    let ranges = axis_ranges(space, n)?;
+    let ranges = axis_ranges(space, n).ok()?;
     let eval = Evaluator::new(models, options);
 
     let solo = space.solo_allocation();
@@ -774,9 +890,8 @@ fn lex_less(a: (u32, f64), b: (u32, f64)) -> bool {
 /// tables (rebuilding only a drifted workload's cells) without paying
 /// a single optimizer call. DP over (workload index, per-axis units
 /// left): lexicographically minimal (unmet limits, weighted cost)
-/// completing workloads `i..n`. Dispatches to the 16-bit-lane SWAR
-/// inner loop or the bit-identical 64-bit-lane fallback depending on
-/// `lattice.wide`.
+/// completing workloads `i..n`. Runs the 16-bit-lane SWAR inner loop,
+/// or the bit-identical 64-bit-lane fallback when `lattice.wide`.
 fn solve_dp(
     space: &SearchSpace,
     lattice: &BudgetLattice,
@@ -790,9 +905,9 @@ fn solve_dp(
     let mut layers: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n + 1);
     layers.push(vec![(0, 0.0); state_count]);
     if lattice.wide {
-        dp_layers_wide(lattice, tables, &mut layers);
+        dp_layers::<[u64; Resource::COUNT]>(lattice, tables, &mut layers);
     } else {
-        dp_layers_narrow(lattice, tables, &mut layers);
+        dp_layers::<u64>(lattice, tables, &mut layers);
     }
     layers.reverse(); // layers[i] = cost-to-go starting at workload i
 
@@ -851,125 +966,47 @@ fn solve_dp(
     })
 }
 
-/// The 16-bit-lane DP inner loop: every axis packed into one `u64`, a
-/// single guarded subtraction compares all axes at once (the M-axis
-/// generalization must not tax the 2-axis hot path).
-fn dp_layers_narrow(
+/// The DP inner loop, one layer per workload, last workload first.
+/// `P` is the feasibility packing; both packings visit cells in the
+/// same order with the same tie-breaking, so they are bit-identical on
+/// any table set both can represent (pinned by a proptest).
+fn dp_layers<P: PackedUnits>(
     lattice: &BudgetLattice,
     tables: &[Vec<GridCell>],
     layers: &mut Vec<Vec<(u32, f64)>>,
 ) {
     let state_count = lattice.state_count();
     // Hot per-cell data for the inner loop, contiguous per table: the
-    // flattened state offset, the SWAR-packed units, the unmet-limit
+    // flattened state offset, the packed units, the unmet-limit
     // increment, and the weighted cost.
-    struct HotCell {
+    struct HotCell<P> {
         offset: usize,
-        packed: u64,
+        packed: P,
         unmet: u32,
         weighted: f64,
     }
-    let hot: Vec<Vec<HotCell>> = tables
+    let hot: Vec<Vec<HotCell<P>>> = tables
         .iter()
         .map(|table| {
             table
                 .iter()
                 .map(|c| HotCell {
                     offset: lattice.index(&c.units),
-                    packed: pack_units(&c.units),
+                    packed: P::pack(&c.units),
                     unmet: u32::from(!c.within_limit),
                     weighted: c.weighted,
                 })
                 .collect()
         })
         .collect();
-    // Guard-carrying packed remainders per state: lane `j` of
-    // `pleft - cell.packed` keeps its guard bit iff `left_j >=
-    // cell_j` (a lane that would go negative borrows exactly its own
-    // guard bit, never its neighbour's).
-    let packed_lefts: Vec<u64> = lattice
-        .lefts
-        .iter()
-        .map(|l| pack_units(l) | GUARD)
-        .collect();
-    let mut next: Vec<(u32, f64)> = layers[0].clone();
-    for i in (0..tables.len()).rev() {
-        let mut cur = vec![UNREACHABLE; state_count];
-        for (s, &pleft) in packed_lefts.iter().enumerate() {
-            let mut best = UNREACHABLE;
-            for cell in &hot[i] {
-                if (pleft - cell.packed) & GUARD == GUARD {
-                    let rest = next[s - cell.offset];
-                    if rest.0 == u32::MAX {
-                        continue;
-                    }
-                    let v = (rest.0 + cell.unmet, cell.weighted + rest.1);
-                    if lex_less(v, best) {
-                        best = v;
-                    }
-                }
-            }
-            cur[s] = best;
-        }
-        layers.push(cur.clone());
-        next = cur;
-    }
-}
-
-/// The 64-bit-lane DP inner loop for grids too fine for 15-bit SWAR
-/// lanes: one guarded `u64` per axis. Same accumulation order and
-/// tie-breaking as the narrow loop, so the two are bit-identical on
-/// any table set both can represent (pinned by a proptest).
-fn dp_layers_wide(
-    lattice: &BudgetLattice,
-    tables: &[Vec<GridCell>],
-    layers: &mut Vec<Vec<(u32, f64)>>,
-) {
-    let state_count = lattice.state_count();
-    struct WideCell {
-        offset: usize,
-        packed: [u64; Resource::COUNT],
-        unmet: u32,
-        weighted: f64,
-    }
-    let hot: Vec<Vec<WideCell>> = tables
-        .iter()
-        .map(|table| {
-            table
-                .iter()
-                .map(|c| WideCell {
-                    offset: lattice.index(&c.units),
-                    packed: pack_units_wide(&c.units),
-                    unmet: u32::from(!c.within_limit),
-                    weighted: c.weighted,
-                })
-                .collect()
-        })
-        .collect();
-    let packed_lefts: Vec<[u64; Resource::COUNT]> = lattice
-        .lefts
-        .iter()
-        .map(|l| {
-            let mut p = pack_units_wide(l);
-            for w in &mut p {
-                *w |= WIDE_GUARD;
-            }
-            p
-        })
-        .collect();
-    let fits = |pleft: &[u64; Resource::COUNT], packed: &[u64; Resource::COUNT]| {
-        pleft
-            .iter()
-            .zip(packed)
-            .all(|(&l, &c)| (l - c) & WIDE_GUARD == WIDE_GUARD)
-    };
+    let packed_lefts: Vec<P> = lattice.lefts.iter().map(P::guarded).collect();
     let mut next: Vec<(u32, f64)> = layers[0].clone();
     for i in (0..tables.len()).rev() {
         let mut cur = vec![UNREACHABLE; state_count];
         for (s, pleft) in packed_lefts.iter().enumerate() {
             let mut best = UNREACHABLE;
             for cell in &hot[i] {
-                if fits(pleft, &cell.packed) {
+                if pleft.fits(&cell.packed) {
                     let rest = next[s - cell.offset];
                     if rest.0 == u32::MAX {
                         continue;
@@ -987,7 +1024,7 @@ fn dp_layers_wide(
     }
 }
 
-/// Settings for [`coarse_to_fine_search_with`].
+/// Settings for [`Strategy::CoarseToFine`].
 ///
 /// The search solves the full DP on each coarse δ of the ladder in
 /// turn, then restricts the next (finer) level to a window of
@@ -997,6 +1034,20 @@ fn dp_layers_wide(
 /// host all workloads) and levels made infeasible by the degradation
 /// limits are skipped — the following level then runs unwindowed, so
 /// the result is always feasible whenever the full-grid DP is.
+///
+/// Finite degradation limits make the grid problem non-convex (the
+/// fine-grid optimum can hide against the limit boundary, behind
+/// coarse samples that are limit-infeasible), so the refinement
+/// becomes *feasibility-aware* instead of falling back to the full
+/// grid: the coarse solve classifies every coarse cell against the
+/// limits, the fine window is expanded with a **boundary band** — the
+/// fine cells within one coarse step of the limit boundary — and a
+/// workload whose refined optimum lands on the *edge* of its own
+/// window gets that window widened (doubling, then full range)
+/// per-window rather than escalating the whole search. Like greedy
+/// and exhaustive search, jointly infeasible limits yield a
+/// best-effort result flagged via [`SearchResult::limits_met`]; that
+/// verdict is always taken from the full grid, never from a window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoarseToFineOptions {
     /// Refinement ladder of coarse δ values, coarsest first. Each
@@ -1042,13 +1093,11 @@ impl CoarseToFineOptions {
             if c <= space.max_varied_delta() * 1.5 {
                 continue;
             }
-            let units = (1.0 / c).round() as usize;
-            let min_units = (space.min_share / c).round().max(1.0) as usize;
-            if units < n * min_units {
-                continue; // grid cannot host n workloads
-            }
-            let max_units = units - (n - 1) * min_units;
-            if max_units - min_units + 1 >= 4 {
+            // A grid that cannot host n workloads is no candidate.
+            let Ok(ranges) = axis_ranges(&space.with_delta(c), n) else {
+                continue;
+            };
+            if ranges.iter().any(|&(lo, hi)| hi - lo + 1 >= 4) {
                 return CoarseToFineOptions::with_coarse(c);
             }
         }
@@ -1059,40 +1108,10 @@ impl CoarseToFineOptions {
     }
 }
 
-/// Coarse-to-fine grid optimum with automatically chosen coarse δ and
-/// default (parallel) candidate evaluation. See
-/// [`coarse_to_fine_search_with`].
-pub fn coarse_to_fine_search<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-) -> SearchResult {
-    let c2f = CoarseToFineOptions::auto(space, models.len());
-    coarse_to_fine_search_with(space, qos, models, &c2f, &SearchOptions::default())
-}
-
-/// Coarse-to-fine enumeration: solve the DP on a coarse δ first, then
-/// refine only inside a window around the coarse optimum down to the
-/// search space's fine δ, re-centering the window whenever refinement
-/// keeps improving. On separable workload costs this finds the
-/// full-grid optimum while probing far fewer allocations (the
-/// optimizer-call counts of the cost models record exactly how many);
-/// `tests/coarse_to_fine.rs` property-checks the equivalence against
-/// [`exhaustive_search`].
-///
-/// Finite degradation limits make the grid problem non-convex (the
-/// fine-grid optimum can hide against the limit boundary, behind
-/// coarse samples that are limit-infeasible), so the refinement
-/// becomes *feasibility-aware* instead of falling back to the full
-/// grid: the coarse solve classifies every coarse cell against the
-/// limits, the fine window is expanded with a **boundary band** — the
-/// fine cells within one coarse step of the limit boundary — and a
-/// workload whose refined optimum lands on the *edge* of its own
-/// window gets that window widened (doubling, then full range)
-/// per-window rather than escalating the whole search. Like greedy
-/// and exhaustive search, jointly infeasible limits yield a
-/// best-effort result flagged via [`SearchResult::limits_met`]; that
-/// verdict is always taken from the full grid, never from a window.
+/// Coarse-to-fine [`solve`] that panics on a [`SolveError`]. It exists
+/// only for the benchmark harness under `perfbench/`, which is built
+/// against this signature; everything else calls [`solve`] with
+/// [`Strategy::CoarseToFine`].
 pub fn coarse_to_fine_search_with<M: CostModel>(
     space: &SearchSpace,
     qos: &[QoS],
@@ -1100,23 +1119,13 @@ pub fn coarse_to_fine_search_with<M: CostModel>(
     c2f: &CoarseToFineOptions,
     options: &SearchOptions,
 ) -> SearchResult {
-    try_coarse_to_fine_search_with(space, qos, models, c2f, options)
-        .expect("no grid can host the workloads (min_share too large)")
+    let strategy = Strategy::CoarseToFine(c2f.clone());
+    solve(space, qos, models, &strategy, options).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Non-panicking [`coarse_to_fine_search_with`]: `None` exactly when
-/// [`try_exhaustive_search_with`] would return `None` too (the fine
-/// grid cannot host every workload).
-pub fn try_coarse_to_fine_search_with<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-) -> Option<SearchResult> {
-    let n = models.len();
-    assert!(n >= 1);
-    assert!(c2f.window_steps > 0.0, "window must be positive");
+/// The refinement ladder of `c2f` on `space`: the coarse δs strictly
+/// coarser than every varied axis's fine δ, coarsest first.
+fn ladder(space: &SearchSpace, c2f: &CoarseToFineOptions) -> Vec<f64> {
     let mut ladder: Vec<f64> = c2f
         .coarse_deltas
         .iter()
@@ -1124,9 +1133,40 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
         .filter(|&d| d > space.max_varied_delta() + 1e-12)
         .collect();
     ladder.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+    ladder
+}
 
-    if qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        return limit_aware_refinement(space, qos, models, c2f, options, &ladder, None);
+/// Whether some workload has a finite degradation limit — the switch
+/// to the limit-aware coarse-to-fine path.
+fn has_finite_limit(qos: &[QoS]) -> bool {
+    qos.iter().any(|q| q.degradation_limit.is_finite())
+}
+
+/// Coarse-to-fine enumeration ([`Strategy::CoarseToFine`]): solve the
+/// DP on a coarse δ first, then refine only inside a window around the
+/// coarse optimum down to the search space's fine δ, re-centering the
+/// window whenever refinement keeps improving. On separable workload
+/// costs this finds the full-grid optimum while probing far fewer
+/// allocations (the optimizer-call counts of the cost models record
+/// exactly how many); `tests/coarse_to_fine.rs` property-checks the
+/// equivalence against [`Strategy::Exhaustive`].
+///
+/// Finite degradation limits take [`limit_aware_refinement`], which
+/// hands its evaluated coarse level to `capture` for a warm-start
+/// cache. The only error is a fine grid too coarse to host every
+/// workload.
+fn coarse_to_fine<M: CostModel>(
+    space: &SearchSpace,
+    qos: &[QoS],
+    models: &[M],
+    c2f: &CoarseToFineOptions,
+    options: &SearchOptions,
+    capture: Option<&mut CoarseCapture>,
+) -> Result<SearchResult, SolveError> {
+    let n = models.len();
+    let ladder = ladder(space, c2f);
+    if has_finite_limit(qos) {
+        return limit_aware_refinement(space, qos, models, c2f, options, &ladder, capture);
     }
 
     // Unconstrained path: each level's optimum becomes the next
@@ -1135,7 +1175,7 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
     for delta in ladder {
         let coarse_space = space.with_delta(delta);
         let allowed = seed.as_ref().and_then(|(centers, prev_delta)| {
-            let ranges = axis_ranges(&coarse_space, n)?;
+            let ranges = axis_ranges(&coarse_space, n).ok()?;
             Some(
                 (0..n)
                     .map(|i| {
@@ -1162,7 +1202,7 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
     // improves (every single-unit exchange lies inside the window),
     // which for separable convex costs is exactly the grid optimum.
     if let Some((centers, prev_delta)) = seed {
-        if let Some(ranges) = axis_ranges(space, n) {
+        if let Ok(ranges) = axis_ranges(space, n) {
             let half_width = c2f.window_steps * prev_delta;
             let mut centers = centers;
             let mut best: Option<SearchResult> = None;
@@ -1184,14 +1224,14 @@ pub fn try_coarse_to_fine_search_with<M: CostModel>(
                     break;
                 }
             }
-            if best.is_some() {
-                return best;
+            if let Some(best) = best {
+                return Ok(best);
             }
         }
     }
     // No usable coarse seed, or the window excluded every feasible
     // fine-grid point: fall back to the full fine grid.
-    try_exhaustive_search_with(space, qos, models, options)
+    full_grid(space, qos, models, options)
 }
 
 /// Re-centering round cap for the fine level of coarse-to-fine search;
@@ -1234,9 +1274,8 @@ fn limit_aware_refinement<M: CostModel>(
     options: &SearchOptions,
     ladder: &[f64],
     capture: Option<&mut CoarseCapture>,
-) -> Option<SearchResult> {
+) -> Result<SearchResult, SolveError> {
     let n = models.len();
-    let full_grid = || grid_search(space, qos, models, options, None).map(|s| s.result);
 
     // Coarse phase: every level is solved unwindowed, so coarser
     // levels add nothing once a finer one solves — try the finest
@@ -1251,7 +1290,7 @@ fn limit_aware_refinement<M: CostModel>(
         }
     }
     let Some((coarse, coarse_delta)) = seed else {
-        return full_grid();
+        return full_grid(space, qos, models, options);
     };
     // Hand the evaluated coarse level to a warm-start cache, so the
     // next period can delta-solve it instead of re-evaluating it.
@@ -1272,11 +1311,11 @@ fn limit_aware_refinement<M: CostModel>(
         &ranges,
     );
     match best {
-        Some(r) if r.limits_met.iter().all(|&m| m) => Some(r),
+        Some(r) if r.limits_met.iter().all(|&m| m) => Ok(r),
         // The windowed search found no limit-satisfying configuration;
         // only the full grid can certify joint infeasibility (and its
         // best-effort optimum is the reference answer).
-        _ => full_grid(),
+        _ => full_grid(space, qos, models, options),
     }
 }
 
@@ -1372,7 +1411,7 @@ fn windowed_fine_loop<M: CostModel>(
 }
 
 /// Persistent warm-start state for one machine's period-over-period
-/// coarse-to-fine solves ([`coarse_to_fine_search_warm`]).
+/// coarse-to-fine solves ([`WarmStart::solve`]).
 ///
 /// Holds the previous period's optimum (the fine windows' seed), the
 /// evaluated coarse level (δ, DP lattice, per-workload option tables —
@@ -1484,7 +1523,7 @@ impl WarmStart {
     /// drift-solves from the snapshot's optimum; it carries no coarse
     /// lattice, so a drift under finite degradation limits cold
     /// re-solves (the limit-boundary band cannot be reconstructed
-    /// without it — see [`coarse_to_fine_search_warm`]).
+    /// without it — see [`Self::solve`]).
     pub fn restore(
         key: u64,
         fingerprints: Vec<u64>,
@@ -1590,214 +1629,184 @@ fn rebuild_tables<M: CostModel>(
     }
 }
 
-/// Warm-started [`coarse_to_fine_search_with`]: bit-identical results,
-/// fewer optimizer calls when little changed since the previous call.
-///
-/// `fingerprints[i]` identifies workload `i`'s content (e.g.
-/// [`Tenant::fingerprint`](crate::tenant::Tenant::fingerprint)); `salt`
-/// identifies everything else the models depend on (e.g. a fold of the
-/// calibrated-model fingerprints). Three regimes:
-///
-/// * **Cold** — the validity key misses (first call, or the space /
-///   QoS / ladder / salt changed): full cold solve, caching the
-///   evaluated coarse level for later delta-solves.
-/// * **Hit** — key matches and no fingerprint changed: the cached
-///   result is returned with *zero* optimizer calls (the cold solve is
-///   deterministic, so re-running it would reproduce the cached answer
-///   bit-for-bit).
-/// * **Delta** — key matches, some fingerprints changed: only the
-///   drifted workloads' coarse option cells are re-evaluated (retained
-///   tables count into [`WarmStart::lattice_reuses`]), dominated cells
-///   are pruned, the DP re-runs over the retained lattice, and the
-///   fine windows are seeded at the *previous optimum* (falling back
-///   to the fresh coarse optimum for any workload whose optimum left
-///   the seed window). The usual edge-detection / window-doubling /
-///   full-grid re-certification machinery then guarantees the cold
-///   answer.
-///
-/// Returns `None` exactly when [`try_coarse_to_fine_search_with`]
-/// would (the fine grid cannot host every workload).
-#[allow(clippy::too_many_arguments)]
-pub fn coarse_to_fine_search_warm<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-    salt: u64,
-    fingerprints: &[u64],
-    warm: &mut WarmStart,
-) -> Option<SearchResult> {
-    let n = models.len();
-    assert!(n >= 1);
-    assert_eq!(qos.len(), n);
-    assert_eq!(fingerprints.len(), n, "one fingerprint per workload");
-    assert!(c2f.window_steps > 0.0, "window must be positive");
-    let key = warm_key(space, qos, c2f, salt);
-    if warm.key != Some(key) || warm.fingerprints.len() != n {
-        return cold_resolve(space, qos, models, c2f, options, key, fingerprints, warm);
-    }
-    if warm.fingerprints == fingerprints {
-        // No drift: the cold solve is deterministic, so its answer is
-        // the cached one — at zero optimizer calls.
-        return warm.last.clone();
-    }
-
-    let Some(ranges) = axis_ranges(space, n) else {
-        warm.key = None;
-        return try_exhaustive_search_with(space, qos, models, options);
-    };
-    if warm.coarse.is_none() && qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        // Finite limits but no retained coarse level — a snapshot-
-        // restored state (restore() drops the lattice), or a ladder
-        // that never produced one. The limit-boundary band cannot be
-        // rebuilt from what we have, and a band-less fine window may
-        // miss an optimum pressed against the limit boundary, so the
-        // bit-identical-to-cold contract forces a cold re-solve. The
-        // probes it issues are exactly the ones a restored ProbeCache
-        // holds, so a post-restart cold re-solve stays cheap in
-        // optimizer calls.
-        return cold_resolve(space, qos, models, c2f, options, key, fingerprints, warm);
-    }
-    let changed: Vec<usize> = (0..n)
-        .filter(|&i| warm.fingerprints[i] != fingerprints[i])
-        .collect();
-    warm.delta_solves += 1;
-
-    // Delta-solve the retained coarse level: re-evaluate only the
-    // drifted workloads' cells, prune dominated cells, re-run the DP
-    // over the retained lattice.
-    let mut coarse_opt: Option<SearchResult> = None;
-    let (band, initial_half) = match warm.coarse.as_mut() {
-        Some(cache) => {
-            let coarse_space = space.with_delta(cache.delta);
-            rebuild_tables(
-                &coarse_space,
-                qos,
-                models,
-                options,
-                &changed,
-                &mut cache.tables,
-            );
-            warm.lattice_reuses += (n - changed.len()) as u64;
-            let pruned = prune_dominated(&cache.lattice, &cache.tables);
-            coarse_opt = solve_dp(&coarse_space, &cache.lattice, &pruned);
-            let band = band_for(space, qos, &cache.tables, cache.delta, &ranges);
-            (band, c2f.window_steps * cache.delta)
-        }
-        None => {
-            // Unconstrained path: no coarse feasibility map to keep.
-            // Window size mirrors what the cold ladder would use.
-            let finest = c2f
-                .coarse_deltas
-                .iter()
-                .copied()
-                .filter(|&d| d > space.max_varied_delta() + 1e-12)
-                .fold(f64::INFINITY, f64::min);
-            let step = if finest.is_finite() {
-                finest
-            } else {
-                space.max_varied_delta()
-            };
-            (vec![Vec::new(); n], c2f.window_steps * step)
-        }
-    };
-
-    // Seed the fine windows at the previous optimum; any workload
-    // whose delta-solved coarse optimum left that window is re-seeded
-    // from the coarse solve (its old optimum is stale).
-    let mut centers = warm.centers.clone();
-    if let Some(coarse) = &coarse_opt {
-        for (center, fresh) in centers.iter_mut().zip(&coarse.allocations) {
-            let stale = space
-                .varied
-                .iter()
-                .any(|r| (fresh.get(r) - center.get(r)).abs() > initial_half + 1e-9);
-            if stale {
-                *center = *fresh;
+impl WarmStart {
+    /// Warm-started [`Strategy::CoarseToFine`] [`solve`]: bit-identical
+    /// results, fewer optimizer calls when little changed since the
+    /// previous call.
+    ///
+    /// `fingerprints[i]` identifies workload `i`'s content (e.g.
+    /// [`Tenant::fingerprint`](crate::tenant::Tenant::fingerprint));
+    /// `salt` identifies everything else the models depend on (e.g. a
+    /// fold of the calibrated-model fingerprints). Three regimes:
+    ///
+    /// * **Cold** — the validity key misses (first call, or the space /
+    ///   QoS / ladder / salt changed): full cold solve, caching the
+    ///   evaluated coarse level for later delta-solves.
+    /// * **Hit** — key matches and no fingerprint changed: the cached
+    ///   result is returned with *zero* optimizer calls (the cold solve
+    ///   is deterministic, so re-running it would reproduce the cached
+    ///   answer bit-for-bit).
+    /// * **Delta** — key matches, some fingerprints changed: only the
+    ///   drifted workloads' coarse option cells are re-evaluated
+    ///   (retained tables count into [`Self::lattice_reuses`]),
+    ///   dominated cells are pruned, the DP re-runs over the retained
+    ///   lattice, and the fine windows are seeded at the *previous
+    ///   optimum* (falling back to the fresh coarse optimum for any
+    ///   workload whose optimum left the seed window). The usual
+    ///   edge-detection / window-doubling / full-grid re-certification
+    ///   machinery then guarantees the cold answer.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`solve`] with [`Strategy::CoarseToFine`].
+    /// Malformed input leaves the state untouched; a grid too coarse
+    /// for the workloads leaves it cold.
+    ///
+    /// # Panics
+    ///
+    /// If `fingerprints` and `models` differ in length.
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve<M: CostModel>(
+        &mut self,
+        space: &SearchSpace,
+        qos: &[QoS],
+        models: &[M],
+        c2f: &CoarseToFineOptions,
+        options: &SearchOptions,
+        salt: u64,
+        fingerprints: &[u64],
+    ) -> Result<SearchResult, SolveError> {
+        let n = models.len();
+        validate(space, qos, n, Some(c2f))?;
+        assert_eq!(fingerprints.len(), n, "one fingerprint per workload");
+        let key = warm_key(space, qos, c2f, salt);
+        let hit = self.key == Some(key) && self.fingerprints.len() == n;
+        if hit && self.fingerprints == fingerprints {
+            if let Some(last) = &self.last {
+                // No drift: the cold solve is deterministic, so its
+                // answer is the cached one — at zero optimizer calls.
+                return Ok(last.clone());
             }
         }
-    }
-
-    let best = windowed_fine_loop(
-        space,
-        qos,
-        models,
-        options,
-        centers,
-        initial_half,
-        &band,
-        &ranges,
-    );
-    let result = match best {
-        Some(r) if r.limits_met.iter().all(|&m| m) => Some(r),
-        // Same certification rule as the cold path: only the full grid
-        // may certify joint infeasibility (or a window that excluded
-        // everything).
-        _ => grid_search(space, qos, models, options, None).map(|s| s.result),
-    };
-    let Some(result) = result else {
-        warm.key = None;
-        return None;
-    };
-    warm.fingerprints = fingerprints.to_vec();
-    warm.centers.clone_from(&result.allocations);
-    warm.last = Some(result.clone());
-    Some(result)
-}
-
-/// The cold leg of [`coarse_to_fine_search_warm`]: run the ordinary
-/// cold solve, capture the evaluated coarse level (limit-aware path),
-/// and prime the warm state.
-#[allow(clippy::too_many_arguments)]
-fn cold_resolve<M: CostModel>(
-    space: &SearchSpace,
-    qos: &[QoS],
-    models: &[M],
-    c2f: &CoarseToFineOptions,
-    options: &SearchOptions,
-    key: u64,
-    fingerprints: &[u64],
-    warm: &mut WarmStart,
-) -> Option<SearchResult> {
-    warm.cold_solves += 1;
-    warm.key = None;
-    warm.coarse = None;
-    let result = if qos.iter().any(|q| q.degradation_limit.is_finite()) {
-        let mut ladder: Vec<f64> = c2f
-            .coarse_deltas
-            .iter()
-            .copied()
-            .filter(|&d| d > space.max_varied_delta() + 1e-12)
-            .collect();
-        ladder.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        let mut captured: CoarseCapture = None;
-        let r = limit_aware_refinement(
-            space,
-            qos,
-            models,
-            c2f,
-            options,
-            &ladder,
-            Some(&mut captured),
-        );
-        if let Some((delta, tables)) = captured {
-            warm.coarse = Some(CoarseCache {
+        // Finite limits but no retained coarse level — a snapshot-
+        // restored state (restore() drops the lattice), or a ladder
+        // that never produced one — also cold re-solves: the
+        // limit-boundary band cannot be rebuilt from what we have, and
+        // a band-less fine window may miss an optimum pressed against
+        // the limit boundary, so the bit-identical-to-cold contract
+        // forces it. The probes it issues are exactly the ones a
+        // restored ProbeCache holds, so a post-restart cold re-solve
+        // stays cheap in optimizer calls.
+        let result = if hit && (self.coarse.is_some() || !has_finite_limit(qos)) {
+            self.delta_solve(space, qos, models, c2f, options, fingerprints)
+        } else {
+            self.cold_solves += 1;
+            self.key = None;
+            let mut captured: CoarseCapture = None;
+            let r = coarse_to_fine(space, qos, models, c2f, options, Some(&mut captured));
+            self.coarse = captured.map(|(delta, tables)| CoarseCache {
                 delta,
                 lattice: BudgetLattice::new(&space.with_delta(delta)),
                 tables,
             });
+            r
+        };
+        match &result {
+            Ok(r) => {
+                self.key = Some(key);
+                self.fingerprints = fingerprints.to_vec();
+                self.centers.clone_from(&r.allocations);
+                self.last = Some(r.clone());
+            }
+            Err(_) => self.key = None,
         }
-        r
-    } else {
-        try_coarse_to_fine_search_with(space, qos, models, c2f, options)
-    };
-    let result = result?;
-    warm.key = Some(key);
-    warm.fingerprints = fingerprints.to_vec();
-    warm.centers.clone_from(&result.allocations);
-    warm.last = Some(result.clone());
-    Some(result)
+        result
+    }
+
+    /// The delta leg of [`Self::solve`]: the key matches and some
+    /// fingerprints changed.
+    fn delta_solve<M: CostModel>(
+        &mut self,
+        space: &SearchSpace,
+        qos: &[QoS],
+        models: &[M],
+        c2f: &CoarseToFineOptions,
+        options: &SearchOptions,
+        fingerprints: &[u64],
+    ) -> Result<SearchResult, SolveError> {
+        let n = models.len();
+        let ranges = axis_ranges(space, n)?;
+        let changed: Vec<usize> = (0..n)
+            .filter(|&i| self.fingerprints[i] != fingerprints[i])
+            .collect();
+        self.delta_solves += 1;
+
+        // Delta-solve the retained coarse level: re-evaluate only the
+        // drifted workloads' cells, prune dominated cells, re-run the DP
+        // over the retained lattice.
+        let mut coarse_opt: Option<SearchResult> = None;
+        let (band, initial_half) = match self.coarse.as_mut() {
+            Some(cache) => {
+                let coarse_space = space.with_delta(cache.delta);
+                rebuild_tables(
+                    &coarse_space,
+                    qos,
+                    models,
+                    options,
+                    &changed,
+                    &mut cache.tables,
+                );
+                self.lattice_reuses += (n - changed.len()) as u64;
+                let pruned = prune_dominated(&cache.lattice, &cache.tables);
+                coarse_opt = solve_dp(&coarse_space, &cache.lattice, &pruned);
+                let band = band_for(space, qos, &cache.tables, cache.delta, &ranges);
+                (band, c2f.window_steps * cache.delta)
+            }
+            None => {
+                // Unconstrained path: no coarse feasibility map to keep.
+                // Window size mirrors what the cold ladder would use.
+                let step = ladder(space, c2f)
+                    .last()
+                    .copied()
+                    .unwrap_or_else(|| space.max_varied_delta());
+                (vec![Vec::new(); n], c2f.window_steps * step)
+            }
+        };
+
+        // Seed the fine windows at the previous optimum; any workload
+        // whose delta-solved coarse optimum left that window is
+        // re-seeded from the coarse solve (its old optimum is stale).
+        let mut centers = self.centers.clone();
+        if let Some(coarse) = &coarse_opt {
+            for (center, fresh) in centers.iter_mut().zip(&coarse.allocations) {
+                let stale = space
+                    .varied
+                    .iter()
+                    .any(|r| (fresh.get(r) - center.get(r)).abs() > initial_half + 1e-9);
+                if stale {
+                    *center = *fresh;
+                }
+            }
+        }
+
+        let best = windowed_fine_loop(
+            space,
+            qos,
+            models,
+            options,
+            centers,
+            initial_half,
+            &band,
+            &ranges,
+        );
+        match best {
+            Some(r) if r.limits_met.iter().all(|&m| m) => Ok(r),
+            // Same certification rule as the cold path: only the full
+            // grid may certify joint infeasibility (or a window that
+            // excluded everything).
+            _ => full_grid(space, qos, models, options),
+        }
+    }
 }
 
 /// Lexicographically better search result: fewer unmet degradation
@@ -1981,11 +1990,26 @@ mod tests {
         vec![QoS::default(); n]
     }
 
+    /// Coarse-to-fine with the automatically chosen ladder.
+    fn auto_c2f(space: &SearchSpace, n: usize) -> Strategy {
+        Strategy::CoarseToFine(CoarseToFineOptions::auto(space, n))
+    }
+
+    /// [`solve`] with default options, unwrapped.
+    fn run<M: CostModel>(
+        space: &SearchSpace,
+        qos: &[QoS],
+        models: &[M],
+        strategy: &Strategy,
+    ) -> SearchResult {
+        solve(space, qos, models, strategy, &SearchOptions::default()).unwrap()
+    }
+
     #[test]
     fn greedy_gives_cpu_to_the_hungrier_workload() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![10.0, 1.0]);
-        let r = greedy_search(&space, &qos_n(2), &models);
+        let r = run(&space, &qos_n(2), &models, &Strategy::Greedy);
         assert!(r.allocations[0].cpu() > 0.6, "{:?}", r.allocations);
         assert!((r.allocations[0].cpu() + r.allocations[1].cpu() - 1.0).abs() < 1e-9);
     }
@@ -1994,7 +2018,7 @@ mod tests {
     fn greedy_keeps_symmetric_workloads_even() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![5.0, 5.0]);
-        let r = greedy_search(&space, &qos_n(2), &models);
+        let r = run(&space, &qos_n(2), &models, &Strategy::Greedy);
         assert_eq!(r.iterations, 0);
         assert!((r.allocations[0].cpu() - 0.5).abs() < 1e-9);
     }
@@ -2004,7 +2028,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let alphas = [8.0, 3.0, 1.0, 0.5];
         let models = synth(alphas.to_vec());
-        let r = greedy_search(&space, &qos_n(4), &models);
+        let r = run(&space, &qos_n(4), &models, &Strategy::Greedy);
         // Replay the trace and verify monotone improvement.
         let mut alloc = vec![space.default_allocation(4); 4];
         let total = |alloc: &[Allocation]| -> f64 {
@@ -2033,9 +2057,9 @@ mod tests {
         // solo cost (cost_1(r) = 2/r + 1, solo cost 3 → cap 6 →
         // r_1 ≥ 0.4).
         let models = synth(vec![10.0, 2.0]);
-        let free = greedy_search(&space, &qos_n(2), &models);
+        let free = run(&space, &qos_n(2), &models, &Strategy::Greedy);
         let qos = vec![QoS::default(), QoS::with_limit(2.0)];
-        let r = greedy_search(&space, &qos, &models);
+        let r = run(&space, &qos, &models, &Strategy::Greedy);
         let full = 2.0 / 1.0 + 1.0;
         assert!(
             r.costs[1] <= 2.0 * full + 1e-9,
@@ -2054,9 +2078,9 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         // Identical workloads; gain pulls resources to workload 0.
         let models = synth(vec![5.0, 5.0]);
-        let r_plain = greedy_search(&space, &qos_n(2), &models);
+        let r_plain = run(&space, &qos_n(2), &models, &Strategy::Greedy);
         let qos = vec![QoS::with_gain(5.0), QoS::default()];
-        let r_gain = greedy_search(&space, &qos, &models);
+        let r_gain = run(&space, &qos, &models, &Strategy::Greedy);
         assert!(r_gain.allocations[0].cpu() > r_plain.allocations[0].cpu());
     }
 
@@ -2064,8 +2088,8 @@ mod tests {
     fn greedy_matches_exhaustive_on_reciprocal_models() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![9.0, 4.0, 1.0]);
-        let greedy = greedy_search(&space, &qos_n(3), &models);
-        let exact = exhaustive_search(&space, &qos_n(3), &models);
+        let greedy = run(&space, &qos_n(3), &models, &Strategy::Greedy);
+        let exact = run(&space, &qos_n(3), &models, &Strategy::Exhaustive);
         // Paper: greedy is very often optimal, always within 5 %.
         assert!(
             greedy.weighted_cost <= exact.weighted_cost * 1.05 + 1e-9,
@@ -2083,7 +2107,7 @@ mod tests {
         let m0 = FnCostModel::new(|a: Allocation| 100.0 / a.cpu());
         let m1 = FnCostModel::new(|a: Allocation| 10.0 + 0.001 / a.cpu());
         let models: Vec<&dyn CostModel> = vec![&m0, &m1];
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = run(&space, &qos_n(2), &models, &Strategy::Exhaustive);
         assert!(
             (r.allocations[0].cpu() - 0.95).abs() < 1e-9,
             "{:?}",
@@ -2102,19 +2126,13 @@ mod tests {
         let models: Vec<&dyn CostModel> = vec![&m0, &m1];
         let qos = qos_n(2);
         let options = SearchOptions::default();
-        let exact = exhaustive_search_with(&space, &qos, &models, &options);
+        let exact = solve(&space, &qos, &models, &Strategy::Exhaustive, &options).unwrap();
         assert_eq!(exact.weighted_cost, f64::INFINITY);
         assert_eq!(exact.allocations.len(), 2);
-        let c2f = try_coarse_to_fine_search_with(
-            &space,
-            &qos,
-            &models,
-            &CoarseToFineOptions::auto(&space, 2),
-            &options,
-        )
-        .expect("a feasible grid exists");
+        let c2f_strategy = Strategy::CoarseToFine(CoarseToFineOptions::auto(&space, 2));
+        let c2f = solve(&space, &qos, &models, &c2f_strategy, &options).unwrap();
         assert_eq!(c2f.weighted_cost, f64::INFINITY);
-        let greedy = greedy_search_with(&space, &qos, &models, &options);
+        let greedy = solve(&space, &qos, &models, &Strategy::Greedy, &options).unwrap();
         assert_eq!(greedy.weighted_cost, f64::INFINITY);
     }
 
@@ -2126,7 +2144,7 @@ mod tests {
                 FnCostModel::new(move |a: Allocation| (i as f64 + 1.0) / a.cpu() + 2.0 / a.memory())
             })
             .collect();
-        let r = exhaustive_search(&space, &qos_n(3), &models);
+        let r = run(&space, &qos_n(3), &models, &Strategy::Exhaustive);
         let cpu_sum: f64 = r.allocations.iter().map(|a| a.cpu()).sum();
         let mem_sum: f64 = r.allocations.iter().map(|a| a.memory()).sum();
         assert!(cpu_sum <= 1.0 + 1e-9);
@@ -2147,7 +2165,7 @@ mod tests {
                 })
             })
             .collect();
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = run(&space, &qos_n(2), &models, &Strategy::Exhaustive);
         for res in [Resource::Cpu, Resource::Memory, Resource::DiskBandwidth] {
             let sum: f64 = r.allocations.iter().map(|a| a.get(res)).sum();
             assert!(sum <= 1.0 + 1e-9, "{res:?} oversubscribed: {sum}");
@@ -2174,7 +2192,7 @@ mod tests {
                 FnCostModel::new(move |a: Allocation| c / a.cpu() + m / a.memory() + d / a.disk())
             })
             .collect();
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = run(&space, &qos_n(2), &models, &Strategy::Exhaustive);
         // Brute force: all (u0, u1) per axis with u0 + u1 <= 4,
         // 1 <= u <= 3 per workload.
         let mut best = f64::INFINITY;
@@ -2220,7 +2238,7 @@ mod tests {
             .into_iter()
             .map(|(c, m)| FnCostModel::new(move |a: Allocation| c / a.cpu() + m / a.memory()))
             .collect();
-        let r = exhaustive_search(&space, &qos_n(2), &models);
+        let r = run(&space, &qos_n(2), &models, &Strategy::Exhaustive);
         for a in &r.allocations {
             let cpu_units = a.cpu() / 0.25;
             let mem_units = a.memory() / 0.5;
@@ -2241,7 +2259,7 @@ mod tests {
         // impossible. The DP must report that via `limits_met` (like
         // greedy does) instead of panicking, and still hand back the
         // least-violating, cheapest allocation.
-        let r = exhaustive_search(&space, &qos, &models);
+        let r = run(&space, &qos, &models, &Strategy::Exhaustive);
         assert!(
             r.limits_met.iter().any(|m| !m),
             "jointly infeasible limits must be reported: {:?}",
@@ -2264,7 +2282,7 @@ mod tests {
         // best-effort DP must prefer the zero-violation allocation.
         let models = synth(vec![10.0, 2.0]);
         let qos = vec![QoS::default(), QoS::with_limit(1.5)];
-        let r = exhaustive_search(&space, &qos, &models);
+        let r = run(&space, &qos, &models, &Strategy::Exhaustive);
         assert!(r.limits_met.iter().all(|&m| m), "{r:?}");
         let full = 2.0 / 1.0 + 1.0;
         assert!(r.costs[1] <= 1.5 * full + 1e-9);
@@ -2277,7 +2295,7 @@ mod tests {
         let m0 = FnCostModel::new(|a: Allocation| 20.0 / a.cpu() + 1.0 / a.memory());
         let m1 = FnCostModel::new(|a: Allocation| 1.0 / a.cpu() + 20.0 / a.memory());
         let models: Vec<&dyn CostModel> = vec![&m0, &m1];
-        let r = greedy_search(&space, &qos_n(2), &models);
+        let r = run(&space, &qos_n(2), &models, &Strategy::Greedy);
         assert!(r.allocations[0].cpu() > 0.6, "{:?}", r.allocations);
         assert!(r.allocations[1].memory() > 0.6, "{:?}", r.allocations);
     }
@@ -2293,7 +2311,7 @@ mod tests {
         let m2 =
             FnCostModel::new(|a: Allocation| 1.0 / a.cpu() + 1.0 / a.memory() + 20.0 / a.disk());
         let models: Vec<&dyn CostModel> = vec![&m0, &m1, &m2];
-        let r = greedy_search(&space, &qos_n(3), &models);
+        let r = run(&space, &qos_n(3), &models, &Strategy::Greedy);
         assert!(r.allocations[0].cpu() > 0.5, "{:?}", r.allocations);
         assert!(r.allocations[1].memory() > 0.5, "{:?}", r.allocations);
         assert!(r.allocations[2].disk() > 0.5, "{:?}", r.allocations);
@@ -2311,7 +2329,7 @@ mod tests {
         let models = synth(vec![5.0; 5]);
         let mut qos = qos_n(5);
         qos[0] = QoS::with_limit(2.5);
-        let r = greedy_search(&space, &qos, &models);
+        let r = run(&space, &qos, &models, &Strategy::Greedy);
         assert!(r.limits_met[0], "{:?}", r);
         let full = 5.0 + 1.0;
         assert!(r.costs[0] <= 2.5 * full + 1e-9);
@@ -2328,7 +2346,7 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![10.0, 10.0]);
         let qos = vec![QoS::with_limit(1.05), QoS::with_limit(1.05)];
-        let r = greedy_search(&space, &qos, &models);
+        let r = run(&space, &qos, &models, &Strategy::Greedy);
         assert!(
             r.limits_met.iter().any(|m| !m),
             "jointly infeasible limits must be reported: {:?}",
@@ -2340,7 +2358,7 @@ mod tests {
     fn single_workload_keeps_everything() {
         let space = SearchSpace::cpu_only(0.5);
         let models = synth(vec![5.0]);
-        let r = greedy_search(&space, &qos_n(1), &models);
+        let r = run(&space, &qos_n(1), &models, &Strategy::Greedy);
         assert_eq!(r.iterations, 0);
         assert!((r.allocations[0].cpu() - 1.0).abs() < 1e-9);
     }
@@ -2363,12 +2381,11 @@ mod tests {
             QoS::with_gain(2.0),
             QoS::default(),
         ];
-        let serial = greedy_search_with(&space, &qos, &models, &SearchOptions::serial());
-        let parallel = greedy_search_with(&space, &qos, &models, &SearchOptions::parallel());
-        assert_eq!(serial, parallel);
-        let e_serial = exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial());
-        let e_parallel = exhaustive_search_with(&space, &qos, &models, &SearchOptions::parallel());
-        assert_eq!(e_serial, e_parallel);
+        for strategy in [Strategy::Greedy, Strategy::Exhaustive] {
+            let serial = solve(&space, &qos, &models, &strategy, &SearchOptions::serial());
+            let parallel = solve(&space, &qos, &models, &strategy, &SearchOptions::parallel());
+            assert_eq!(serial, parallel, "{strategy:?}");
+        }
     }
 
     #[test]
@@ -2377,8 +2394,8 @@ mod tests {
         space.set_delta(0.01);
         let models = synth(vec![9.0, 4.0, 1.0]);
         let qos = qos_n(3);
-        let full = exhaustive_search(&space, &qos, &models);
-        let c2f = coarse_to_fine_search(&space, &qos, &models);
+        let full = run(&space, &qos, &models, &Strategy::Exhaustive);
+        let c2f = run(&space, &qos, &models, &auto_c2f(&space, models.len()));
         assert!(
             (c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9,
             "c2f {} vs full {}",
@@ -2394,8 +2411,8 @@ mod tests {
         space.set_delta(0.01);
         let models = synth(vec![10.0, 2.0]);
         let qos = vec![QoS::default(), QoS::with_limit(2.0)];
-        let full = exhaustive_search(&space, &qos, &models);
-        let c2f = coarse_to_fine_search(&space, &qos, &models);
+        let full = run(&space, &qos, &models, &Strategy::Exhaustive);
+        let c2f = run(&space, &qos, &models, &auto_c2f(&space, models.len()));
         assert!((c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9);
         assert!(c2f.limits_met.iter().all(|&m| m));
     }
@@ -2430,15 +2447,11 @@ mod tests {
         let qos = qos_n(4);
         let alphas = [8.0, 3.0, 1.0, 0.5];
         let (full_models, full_probes) = count(&alphas);
-        let full = exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial());
+        let serial = SearchOptions::serial();
+        let full = solve(&space, &qos, &full_models, &Strategy::Exhaustive, &serial).unwrap();
         let (c2f_models, c2f_probes) = count(&alphas);
-        let c2f = coarse_to_fine_search_with(
-            &space,
-            &qos,
-            &c2f_models,
-            &CoarseToFineOptions::auto(&space, 4),
-            &SearchOptions::serial(),
-        );
+        let c2f_strategy = Strategy::CoarseToFine(CoarseToFineOptions::auto(&space, 4));
+        let c2f = solve(&space, &qos, &c2f_models, &c2f_strategy, &serial).unwrap();
         assert!((c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9);
         let full_n = full_probes.lock().len();
         let c2f_n = c2f_probes.lock().len();
@@ -2474,15 +2487,11 @@ mod tests {
         let alphas = [(8.0, 1.0, 2.0), (1.0, 6.0, 1.0), (2.0, 2.0, 7.0)];
         let qos = qos_n(3);
         let (full_models, full_probes) = count(&alphas);
-        let full = exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial());
+        let serial = SearchOptions::serial();
+        let full = solve(&space, &qos, &full_models, &Strategy::Exhaustive, &serial).unwrap();
         let (c2f_models, c2f_probes) = count(&alphas);
-        let c2f = coarse_to_fine_search_with(
-            &space,
-            &qos,
-            &c2f_models,
-            &CoarseToFineOptions::auto(&space, 3),
-            &SearchOptions::serial(),
-        );
+        let c2f_strategy = Strategy::CoarseToFine(CoarseToFineOptions::auto(&space, 3));
+        let c2f = solve(&space, &qos, &c2f_models, &c2f_strategy, &serial).unwrap();
         assert!(
             (c2f.weighted_cost - full.weighted_cost).abs()
                 <= 1e-9 * full.weighted_cost.abs().max(1.0),
@@ -2503,13 +2512,12 @@ mod tests {
         let space = SearchSpace::cpu_only(0.5); // δ = 0.05
         let models = synth(vec![9.0, 4.0]);
         let qos = qos_n(2);
-        let opts = CoarseToFineOptions {
+        let empty = Strategy::CoarseToFine(CoarseToFineOptions {
             coarse_deltas: Vec::new(),
             window_steps: 1.0,
-        };
-        let c2f =
-            coarse_to_fine_search_with(&space, &qos, &models, &opts, &SearchOptions::serial());
-        let full = exhaustive_search(&space, &qos, &models);
+        });
+        let c2f = solve(&space, &qos, &models, &empty, &SearchOptions::serial()).unwrap();
+        let full = run(&space, &qos, &models, &Strategy::Exhaustive);
         assert_eq!(c2f, full);
     }
 
@@ -2521,8 +2529,8 @@ mod tests {
         let qos = vec![QoS::with_limit(1.05), QoS::with_limit(1.05)];
         // Jointly infeasible: both must return the same best-effort
         // allocation with the violation flagged, not panic.
-        let full = exhaustive_search(&space, &qos, &models);
-        let c2f = coarse_to_fine_search(&space, &qos, &models);
+        let full = run(&space, &qos, &models, &Strategy::Exhaustive);
+        let c2f = run(&space, &qos, &models, &auto_c2f(&space, models.len()));
         assert!(full.limits_met.iter().any(|m| !m), "{full:?}");
         assert_eq!(c2f.limits_met, full.limits_met);
         assert!((c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9);
@@ -2561,15 +2569,11 @@ mod tests {
         ];
         let alphas = [8.0, 3.0, 1.0, 0.5];
         let (full_models, full_probes) = count(&alphas);
-        let full = exhaustive_search_with(&space, &qos, &full_models, &SearchOptions::serial());
+        let serial = SearchOptions::serial();
+        let full = solve(&space, &qos, &full_models, &Strategy::Exhaustive, &serial).unwrap();
         let (c2f_models, c2f_probes) = count(&alphas);
-        let c2f = coarse_to_fine_search_with(
-            &space,
-            &qos,
-            &c2f_models,
-            &CoarseToFineOptions::auto(&space, 4),
-            &SearchOptions::serial(),
-        );
+        let c2f_strategy = Strategy::CoarseToFine(CoarseToFineOptions::auto(&space, 4));
+        let c2f = solve(&space, &qos, &c2f_models, &c2f_strategy, &serial).unwrap();
         assert!(
             (c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9,
             "c2f {} vs full {}",
@@ -2739,16 +2743,16 @@ mod tests {
         let c2f = CoarseToFineOptions::default();
         let opts = SearchOptions::serial();
         let mut warm = WarmStart::new();
-        let cold =
-            coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 7, &[10, 20], &mut warm)
-                .unwrap();
+        let cold = warm
+            .solve(&space, &qos, &models, &c2f, &opts, 7, &[10, 20])
+            .unwrap();
         assert_eq!(warm.cold_solves(), 1);
         assert!(warm.is_warm());
         let probes_after_cold = calls.load(Ordering::Relaxed);
         assert!(probes_after_cold > 0);
-        let hit =
-            coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 7, &[10, 20], &mut warm)
-                .unwrap();
+        let hit = warm
+            .solve(&space, &qos, &models, &c2f, &opts, 7, &[10, 20])
+            .unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), probes_after_cold);
         assert_eq!(cold, hit);
     }
@@ -2766,25 +2770,18 @@ mod tests {
         let models_at = |phase: f64| vec![mk(3.0, 1.0), mk(1.0 + phase, 0.5), mk(2.0, 2.0)];
         let mut warm = WarmStart::new();
         let m0 = models_at(0.0);
-        let first =
-            coarse_to_fine_search_warm(&space, &qos, &m0, &c2f, &opts, 1, &[1, 100, 3], &mut warm)
-                .unwrap();
-        let first_cold = coarse_to_fine_search_with(&space, &qos, &m0, &c2f, &opts);
+        let first = warm
+            .solve(&space, &qos, &m0, &c2f, &opts, 1, &[1, 100, 3])
+            .unwrap();
+        let cold = Strategy::CoarseToFine(c2f.clone());
+        let first_cold = solve(&space, &qos, &m0, &cold, &opts).unwrap();
         assert_eq!(first, first_cold);
         for (p, fp) in [(2.0, 200u64), (0.5, 201), (6.0, 202)] {
             let m = models_at(p);
-            let w = coarse_to_fine_search_warm(
-                &space,
-                &qos,
-                &m,
-                &c2f,
-                &opts,
-                1,
-                &[1, fp, 3],
-                &mut warm,
-            )
-            .unwrap();
-            let c = coarse_to_fine_search_with(&space, &qos, &m, &c2f, &opts);
+            let w = warm
+                .solve(&space, &qos, &m, &c2f, &opts, 1, &[1, fp, 3])
+                .unwrap();
+            let c = solve(&space, &qos, &m, &cold, &opts).unwrap();
             assert_eq!(w, c, "warm delta-solve must match the cold solve");
         }
         assert_eq!(warm.cold_solves(), 1);
@@ -2802,25 +2799,125 @@ mod tests {
         let models = synth(vec![2.0, 1.0]);
         let mut warm = WarmStart::new();
         let fps = [5u64, 6];
-        let _ = coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 1, &fps, &mut warm);
+        let _ = warm.solve(&space, &qos, &models, &c2f, &opts, 1, &fps);
         assert_eq!(warm.cold_solves(), 1);
         // Different calibration salt → cold re-solve.
-        let _ = coarse_to_fine_search_warm(&space, &qos, &models, &c2f, &opts, 2, &fps, &mut warm);
+        let _ = warm.solve(&space, &qos, &models, &c2f, &opts, 2, &fps);
         assert_eq!(warm.cold_solves(), 2);
         // Different QoS → cold re-solve.
         let strict = vec![QoS::with_limit(1.5), QoS::default()];
-        let _ =
-            coarse_to_fine_search_warm(&space, &strict, &models, &c2f, &opts, 2, &fps, &mut warm);
+        let _ = warm.solve(&space, &strict, &models, &c2f, &opts, 2, &fps);
         assert_eq!(warm.cold_solves(), 3);
         // Same everything → cached, no new cold solve.
-        let _ =
-            coarse_to_fine_search_warm(&space, &strict, &models, &c2f, &opts, 2, &fps, &mut warm);
+        let _ = warm.solve(&space, &strict, &models, &c2f, &opts, 2, &fps);
         assert_eq!(warm.cold_solves(), 3);
         // Explicit invalidation → cold re-solve.
         warm.invalidate();
         assert!(!warm.is_warm());
-        let _ =
-            coarse_to_fine_search_warm(&space, &strict, &models, &c2f, &opts, 2, &fps, &mut warm);
+        let _ = warm.solve(&space, &strict, &models, &c2f, &opts, 2, &fps);
         assert_eq!(warm.cold_solves(), 4);
+    }
+
+    /// Every strategy, each with a default ladder for coarse-to-fine.
+    fn strategies() -> [Strategy; 3] {
+        [
+            Strategy::Greedy,
+            Strategy::Exhaustive,
+            Strategy::CoarseToFine(CoarseToFineOptions::default()),
+        ]
+    }
+
+    #[test]
+    fn no_workloads_is_an_error_for_every_strategy() {
+        let space = SearchSpace::cpu_only(0.5);
+        let models = synth(Vec::new());
+        for strategy in strategies() {
+            let r = solve(&space, &[], &models, &strategy, &SearchOptions::serial());
+            assert_eq!(r, Err(SolveError::NoWorkloads), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn qos_length_mismatch_is_an_error_for_every_strategy() {
+        let space = SearchSpace::cpu_only(0.5);
+        let models = synth(vec![2.0, 1.0]);
+        let (qos, opts) = (qos_n(3), SearchOptions::serial());
+        for strategy in strategies() {
+            let r = solve(&space, &qos, &models, &strategy, &opts);
+            assert_eq!(
+                r,
+                Err(SolveError::QosMismatch { qos: 3, models: 2 }),
+                "{strategy:?}"
+            );
+        }
+    }
+
+    /// CPU on a 0.05 grid, memory on a 0.5 grid: three workloads fit
+    /// the CPU axis but not the two memory units.
+    fn memory_too_coarse_for_three() -> SearchSpace {
+        let mut space = SearchSpace::cpu_and_memory();
+        space.deltas = space.deltas.with(Resource::Memory, 0.5);
+        space.min_share = 0.25;
+        space
+    }
+
+    #[test]
+    fn too_coarse_grid_names_the_axis() {
+        let space = memory_too_coarse_for_three();
+        let models = synth(vec![3.0, 2.0, 1.0]);
+        let (qos, opts) = (qos_n(3), SearchOptions::serial());
+        let r = solve(&space, &qos, &models, &Strategy::Exhaustive, &opts);
+        let err = SolveError::GridTooCoarse {
+            axis: Resource::Memory,
+            workloads: 3,
+        };
+        assert_eq!(r, Err(err));
+        assert!(err.to_string().contains("memory"), "{err}");
+    }
+
+    #[test]
+    fn too_coarse_grid_fails_only_the_grid_strategies() {
+        // Placement prices every subset with greedy, so greedy must
+        // answer where the DP strategies cannot.
+        let space = memory_too_coarse_for_three();
+        let models = synth(vec![3.0, 2.0, 1.0]);
+        let qos = qos_n(3);
+        let opts = SearchOptions::serial();
+        let greedy = solve(&space, &qos, &models, &Strategy::Greedy, &opts);
+        assert_eq!(greedy.map(|r| r.allocations.len()), Ok(3));
+        for strategy in &strategies()[1..] {
+            let r = solve(&space, &qos, &models, strategy, &opts);
+            assert!(
+                matches!(r, Err(SolveError::GridTooCoarse { .. })),
+                "{strategy:?}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_window_is_an_error() {
+        let space = SearchSpace::cpu_only(0.5);
+        let models = synth(vec![2.0, 1.0]);
+        let qos = qos_n(2);
+        let opts = SearchOptions::serial();
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let c2f = CoarseToFineOptions {
+                window_steps: bad,
+                ..CoarseToFineOptions::default()
+            };
+            let strategy = Strategy::CoarseToFine(c2f.clone());
+            let cold = solve(&space, &qos, &models, &strategy, &opts);
+            let rejected = matches!(
+                cold,
+                Err(SolveError::InvalidWindow { window_steps })
+                    if window_steps.to_bits() == bad.to_bits()
+            );
+            assert!(rejected, "{bad}: {cold:?}");
+            let mut warm = WarmStart::new();
+            let w = warm.solve(&space, &qos, &models, &c2f, &opts, 0, &[1, 2]);
+            assert!(matches!(w, Err(SolveError::InvalidWindow { .. })), "{w:?}");
+            assert!(!warm.is_warm());
+            assert_eq!(warm.cold_solves(), 0);
+        }
     }
 }

@@ -8,10 +8,8 @@
 //! writers emit: objects, arrays, strings (no escapes beyond `\"`,
 //! `\\`, `\n`, `\t`), numbers, booleans, and `null`.
 //!
-//! This module started life as `vda_bench::jsonval` (the CI
-//! bench-regression gate's reader); the control plane's snapshot
-//! format promoted it into `vda-core` and added the writer. The bench
-//! crate re-exports it unchanged.
+//! The CI bench-regression gate (`check_bench`) reads the
+//! `BENCH_*.json` baselines through it too.
 //!
 //! ## Exactness
 //!

@@ -28,7 +28,7 @@
 //! Beyond the paper, the **fleet layer** scales the advisor out:
 //!
 //! 6. **Coarse-to-fine enumeration**
-//!    ([`enumerate::coarse_to_fine_search`]): solve the DP grid at a
+//!    ([`enumerate::Strategy::CoarseToFine`]): solve the DP grid at a
 //!    coarse δ, then refine only inside a window around the coarse
 //!    optimum — the full-grid answer at a fraction of the optimizer
 //!    calls.
@@ -79,15 +79,13 @@ pub use costmodel::{
 };
 pub use dynamic::{DynamicConfigManager, DynamicOptions, ManagementMode, PeriodReport};
 pub use enumerate::{
-    coarse_to_fine_search, coarse_to_fine_search_warm, coarse_to_fine_search_with,
-    exhaustive_search, exhaustive_search_with, greedy_search, greedy_search_with,
-    try_coarse_to_fine_search_with, try_exhaustive_search_with, CoarseToFineOptions, MachineClass,
-    SearchOptions, SearchResult, TraceStep, WarmStart,
+    solve, CoarseToFineOptions, MachineClass, SearchOptions, SearchResult, SolveError, Strategy,
+    TraceStep, WarmStart,
 };
 pub use guardrail::{GuardrailOptions, GuardrailState, GuardrailTracker};
 pub use metrics::CostAccounting;
 pub use placement::{
-    assignment_objective, machine_capacity, place_tenants, FleetOptions, InnerSolve, MachineSpec,
+    assignment_objective, machine_capacity, place_tenants, FleetOptions, MachineSpec,
     PlacementMove, PlacementResult, ScaledCostModel,
 };
 pub use problem::{Allocation, QoS, Resource, SearchSpace};

@@ -18,14 +18,14 @@
 //!    total gain-weighted cost. Every candidate move is priced against
 //!    the *destination* machine's search space and scale.
 //!
-//! Every machine-subset evaluation is a full per-machine inner solve —
-//! [`greedy_search_with`], [`try_exhaustive_search_with`], or
-//! [`try_coarse_to_fine_search_with`] — over the tenants currently on
-//! that machine, so the placer optimizes exactly the objective the
-//! per-machine advisor will realize. Subset solves are memoized for
-//! the lifetime of one placement, keyed by `(`[`MachineClass`]`,
-//! subset)`: machines of the same class share solves (the homogeneous
-//! fast path), while different classes never cross-contaminate.
+//! Every machine-subset evaluation is a full per-machine inner
+//! [`solve`] — with the [`FleetOptions::inner`] [`Strategy`] — over
+//! the tenants currently on that machine, so the placer optimizes
+//! exactly the objective the per-machine advisor will realize. Subset
+//! solves are memoized for the lifetime of one placement, keyed by
+//! `(`[`MachineClass`]`, subset)`: machines of the same class share
+//! solves (the homogeneous fast path), while different classes never
+//! cross-contaminate.
 //!
 //! Each [`MachineSpec`] carries the machine's own [`SearchSpace`] plus
 //! a resource **scale** relative to the fleet's reference machine; an
@@ -46,33 +46,18 @@
 
 use crate::costmodel::model::CostModel;
 use crate::costmodel::whatif::Estimate;
-use crate::enumerate::{
-    greedy_search_with, try_coarse_to_fine_search_with, try_exhaustive_search_with,
-    CoarseToFineOptions, MachineClass, SearchOptions, SearchResult,
-};
+use crate::enumerate::{solve, MachineClass, SearchOptions, SearchResult, Strategy};
 use crate::problem::{Allocation, QoS, Resource, ResourceVector, SearchSpace};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-/// Which per-machine solver prices (and finally configures) each
-/// machine's tenant subset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum InnerSolve {
-    /// The Figure 11 greedy enumerator (cheap, near-optimal).
-    Greedy,
-    /// The full-grid DP optimum.
-    Exhaustive,
-    /// Coarse-to-fine DP refinement (grid-optimal on separable costs,
-    /// far fewer probes).
-    CoarseToFine(CoarseToFineOptions),
-}
-
 /// Fleet-placement settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetOptions {
-    /// Per-machine solver.
-    pub inner: InnerSolve,
+    /// Per-machine search strategy: it prices (and finally configures)
+    /// each machine's tenant subset.
+    pub inner: Strategy,
     /// Candidate-evaluation options for the inner solves.
     pub search: SearchOptions,
     /// Local-search round cap (each round applies at most one move;
@@ -86,7 +71,7 @@ pub struct FleetOptions {
 impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
-            inner: InnerSolve::Greedy,
+            inner: Strategy::Greedy,
             search: SearchOptions::default(),
             max_rounds: 32,
             infeasibility_penalty: 1e9,
@@ -384,24 +369,16 @@ impl<M: CostModel> FleetSolver<'_, M> {
         let space = &self.spaces[m];
         let qos_sub: Vec<QoS> = subset.iter().map(|&i| self.qos[i]).collect();
         let models_sub: Vec<&M> = subset.iter().map(|&i| &self.models[m][i]).collect();
-        let result = match &self.options.inner {
-            InnerSolve::Greedy => Some(greedy_search_with(
-                space,
-                &qos_sub,
-                &models_sub,
-                &self.options.search,
-            )),
-            InnerSolve::Exhaustive => {
-                try_exhaustive_search_with(space, &qos_sub, &models_sub, &self.options.search)
-            }
-            InnerSolve::CoarseToFine(c2f) => try_coarse_to_fine_search_with(
-                space,
-                &qos_sub,
-                &models_sub,
-                c2f,
-                &self.options.search,
-            ),
-        };
+        // A subset is never empty and its QoS and models align, so the
+        // only possible error is a grid too coarse to host it.
+        let result = solve(
+            space,
+            &qos_sub,
+            &models_sub,
+            &self.options.inner,
+            &self.options.search,
+        )
+        .ok();
         self.solves.set(self.solves.get() + 1);
         let obj = match &result {
             None => self.options.infeasibility_penalty * subset.len() as f64,
@@ -636,6 +613,7 @@ pub fn assignment_objective<M: CostModel>(
 mod tests {
     use super::*;
     use crate::costmodel::model::FnCostModel;
+    use crate::enumerate::CoarseToFineOptions;
 
     fn synth(alphas: Vec<f64>) -> Vec<impl CostModel> {
         alphas
@@ -699,7 +677,14 @@ mod tests {
         let models = synth(vec![9.0, 4.0, 1.0]);
         let qos = qos_n(3);
         let r = place_tenants(&fleet(space, 1), &qos, &models, &FleetOptions::default());
-        let direct = greedy_search_with(&space, &qos, &models, &SearchOptions::default());
+        let direct = solve(
+            &space,
+            &qos,
+            &models,
+            &Strategy::Greedy,
+            &SearchOptions::default(),
+        )
+        .unwrap();
         assert!(r.assignment.iter().all(|&m| m == 0));
         assert_eq!(r.per_machine[0].as_ref().unwrap(), &direct);
         assert!((r.total_weighted_cost - direct.weighted_cost).abs() < 1e-12);
@@ -819,7 +804,7 @@ mod tests {
             &qos,
             &models,
             &FleetOptions {
-                inner: InnerSolve::Exhaustive,
+                inner: Strategy::Exhaustive,
                 ..FleetOptions::default()
             },
         );
@@ -881,7 +866,7 @@ mod tests {
             &qos,
             &models,
             &FleetOptions {
-                inner: InnerSolve::Exhaustive,
+                inner: Strategy::Exhaustive,
                 ..FleetOptions::default()
             },
         );
@@ -890,7 +875,7 @@ mod tests {
             &qos,
             &models,
             &FleetOptions {
-                inner: InnerSolve::CoarseToFine(CoarseToFineOptions::default()),
+                inner: Strategy::CoarseToFine(CoarseToFineOptions::default()),
                 ..FleetOptions::default()
             },
         );
@@ -922,7 +907,7 @@ mod tests {
             &qos,
             &models,
             &FleetOptions {
-                inner: InnerSolve::Exhaustive,
+                inner: Strategy::Exhaustive,
                 ..FleetOptions::default()
             },
         );

@@ -22,7 +22,7 @@
 
 use crate::costmodel::model::CostModel;
 use crate::costmodel::whatif::Estimate;
-use crate::enumerate::{greedy_search_with, SearchOptions, SearchResult};
+use crate::enumerate::{solve, SearchOptions, Strategy};
 use crate::problem::{Allocation, QoS, Resource, SearchSpace};
 use serde::{Deserialize, Serialize};
 use vda_stats::MultiLinearFit;
@@ -430,8 +430,14 @@ pub fn refine<A: CostModel>(
                 clamp: opts.delta_max.as_ref(),
             })
             .collect();
-        let result: SearchResult =
-            greedy_search_with(space, qos, &clamped, &SearchOptions::serial());
+        let result = solve(
+            space,
+            qos,
+            &clamped,
+            &Strategy::Greedy,
+            &SearchOptions::serial(),
+        )
+        .expect("refine needs at least one workload");
 
         let same = result.allocations.iter().zip(&current).all(|(a, b)| {
             space

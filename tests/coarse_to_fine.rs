@@ -4,10 +4,7 @@
 
 use proptest::prelude::*;
 use vda::core::costmodel::{CostModel, FnCostModel};
-use vda::core::enumerate::{
-    coarse_to_fine_search_with, exhaustive_search, try_coarse_to_fine_search_with,
-    try_exhaustive_search_with, CoarseToFineOptions, SearchOptions,
-};
+use vda::core::enumerate::{solve, CoarseToFineOptions, SearchOptions, Strategy as Search};
 use vda::core::placement::{place_tenants, FleetOptions, MachineSpec};
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 
@@ -88,10 +85,10 @@ proptest! {
         let opts = CoarseToFineOptions::auto(&space, n);
         prop_assert!(!opts.coarse_deltas.is_empty(), "auto must find a coarse level");
         let serial = SearchOptions::serial();
-        let full = try_exhaustive_search_with(&space, qos, &models, &serial)
+        let full = solve(&space, qos, &models, &Search::Exhaustive, &serial)
             .expect("δ = 0.05 hosts six workloads");
-        let c2f = try_coarse_to_fine_search_with(&space, qos, &models, &opts, &serial)
-            .expect("c2f is None only when exhaustive is");
+        let c2f = solve(&space, qos, &models, &Search::CoarseToFine(opts), &serial)
+            .expect("c2f fails only when exhaustive does");
         prop_assert!(
             (full.weighted_cost - c2f.weighted_cost).abs() <= 1e-9,
             "full {} vs c2f {} (n={n}, qos={qos:?})",
@@ -115,10 +112,10 @@ proptest! {
         let models = models(cs);
         let opts = CoarseToFineOptions::auto(&space, n);
         let serial = SearchOptions::serial();
-        let full = try_exhaustive_search_with(&space, qos, &models, &serial)
+        let full = solve(&space, qos, &models, &Search::Exhaustive, &serial)
             .expect("δ = 0.05 hosts four workloads");
-        let c2f = try_coarse_to_fine_search_with(&space, qos, &models, &opts, &serial)
-            .expect("c2f is None only when exhaustive is");
+        let c2f = solve(&space, qos, &models, &Search::CoarseToFine(opts), &serial)
+            .expect("c2f fails only when exhaustive does");
         prop_assert!(
             (full.weighted_cost - c2f.weighted_cost).abs() <= 1e-9,
             "full {} vs c2f {} (n={n}, cs={cs:?}, qos={qos:?})",
@@ -144,10 +141,10 @@ proptest! {
         let models = models(cs);
         let opts = CoarseToFineOptions::auto(&space, n);
         let serial = SearchOptions::serial();
-        let full = try_exhaustive_search_with(&space, qos, &models, &serial)
+        let full = solve(&space, qos, &models, &Search::Exhaustive, &serial)
             .expect("δ = 0.05 hosts six workloads");
-        let c2f = try_coarse_to_fine_search_with(&space, qos, &models, &opts, &serial)
-            .expect("c2f is None only when exhaustive is");
+        let c2f = solve(&space, qos, &models, &Search::CoarseToFine(opts), &serial)
+            .expect("c2f fails only when exhaustive does");
         prop_assert!(
             (full.weighted_cost - c2f.weighted_cost).abs() <= 1e-9,
             "full {} vs c2f {} (n={n}, qos={qos:?})",
@@ -173,14 +170,10 @@ proptest! {
             coarse_deltas: vec![0.1, 0.05],
             window_steps: 1.0,
         };
-        let full = exhaustive_search(&space, &qos, &models);
-        let c2f = coarse_to_fine_search_with(
-            &space,
-            &qos,
-            &models,
-            &opts,
-            &SearchOptions::serial(),
-        );
+        let serial = SearchOptions::serial();
+        let full = solve(&space, &qos, &models, &Search::Exhaustive, &SearchOptions::default())
+            .unwrap();
+        let c2f = solve(&space, &qos, &models, &Search::CoarseToFine(opts), &serial).unwrap();
         prop_assert!(
             (full.weighted_cost - c2f.weighted_cost).abs() <= 1e-9,
             "full {} vs c2f {} (n={n})",
@@ -209,10 +202,10 @@ proptest! {
             window_steps: 1.0,
         };
         let serial = SearchOptions::serial();
-        let full = try_exhaustive_search_with(&space, qos, &models, &serial)
+        let full = solve(&space, qos, &models, &Search::Exhaustive, &serial)
             .expect("δ = 0.01 hosts four workloads");
-        let c2f = try_coarse_to_fine_search_with(&space, qos, &models, &opts, &serial)
-            .expect("c2f is None only when exhaustive is");
+        let c2f = solve(&space, qos, &models, &Search::CoarseToFine(opts), &serial)
+            .expect("c2f fails only when exhaustive does");
         prop_assert!(
             (full.weighted_cost - c2f.weighted_cost).abs() <= 1e-9,
             "full {} vs c2f {} (n={n}, qos={qos:?})",
@@ -254,12 +247,11 @@ proptest! {
 
 /// Regression for the jointly-infeasible panic: the non-`try_` grid
 /// paths used to `.expect(...)` when no allocation satisfied every
-/// degradation limit, while `greedy_search` reported the same
+/// degradation limit, while the greedy search reported the same
 /// situation gracefully. All three searches must now agree: return a
 /// best-effort allocation and flag the violation via `limits_met`.
 #[test]
 fn jointly_infeasible_limits_never_panic() {
-    use vda::core::enumerate::{coarse_to_fine_search, exhaustive_search, greedy_search};
     let mut space = SearchSpace::cpu_only(0.5);
     space.set_delta(0.01);
     // Each workload needs essentially the whole machine to stay within
@@ -267,9 +259,10 @@ fn jointly_infeasible_limits_never_panic() {
     let cs = vec![(10.0, 0.0, 1.0), (10.0, 0.0, 1.0)];
     let models = models(&cs);
     let qos = vec![QoS::with_limit(1.05), QoS::with_limit(1.05)];
-    let greedy = greedy_search(&space, &qos, &models);
-    let full = exhaustive_search(&space, &qos, &models);
-    let c2f = coarse_to_fine_search(&space, &qos, &models);
+    let run = |strategy| solve(&space, &qos, &models, &strategy, &SearchOptions::default());
+    let greedy = run(Search::Greedy).unwrap();
+    let full = run(Search::Exhaustive).unwrap();
+    let c2f = run(Search::CoarseToFine(CoarseToFineOptions::auto(&space, 2))).unwrap();
     for (name, r) in [("greedy", &greedy), ("exhaustive", &full), ("c2f", &c2f)] {
         assert!(
             r.limits_met.iter().any(|m| !m),

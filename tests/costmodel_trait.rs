@@ -3,7 +3,7 @@
 //! equivalence contract of the enumeration batch evaluator.
 
 use vda::core::costmodel::{CostModel, SharedEstimateCache, WhatIfEstimator};
-use vda::core::enumerate::{exhaustive_search_with, greedy_search_with, SearchOptions};
+use vda::core::enumerate::{solve, SearchOptions, Strategy};
 use vda::core::metrics::CostAccounting;
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 use vda::core::tenant::Tenant;
@@ -73,13 +73,15 @@ fn parallel_and_serial_enumeration_are_identical_with_real_estimators() {
     let adv = mixed_engine_advisor();
     let space = SearchSpace::cpu_only(0.5);
     let qos = adv.qos().to_vec();
+    let strategy = Strategy::Greedy;
+    let (serial_opts, parallel_opts) = (SearchOptions::serial(), SearchOptions::parallel());
 
     let serial_models = fresh_estimators(&adv);
-    let serial = greedy_search_with(&space, &qos, &serial_models, &SearchOptions::serial());
+    let serial = solve(&space, &qos, &serial_models, &strategy, &serial_opts).unwrap();
     let serial_calls = CostAccounting::tally(&serial_models);
 
     let parallel_models = fresh_estimators(&adv);
-    let parallel = greedy_search_with(&space, &qos, &parallel_models, &SearchOptions::parallel());
+    let parallel = solve(&space, &qos, &parallel_models, &strategy, &parallel_opts).unwrap();
     let parallel_calls = CostAccounting::tally(&parallel_models);
 
     assert_eq!(
@@ -98,14 +100,15 @@ fn parallel_and_serial_exhaustive_are_identical_with_real_estimators() {
     let adv = mixed_engine_advisor();
     let space = SearchSpace::cpu_only(0.5);
     let qos = adv.qos().to_vec();
+    let strategy = Strategy::Exhaustive;
+    let (serial_opts, parallel_opts) = (SearchOptions::serial(), SearchOptions::parallel());
 
     let serial_models = fresh_estimators(&adv);
-    let serial = exhaustive_search_with(&space, &qos, &serial_models, &SearchOptions::serial());
+    let serial = solve(&space, &qos, &serial_models, &strategy, &serial_opts).unwrap();
     let serial_calls = CostAccounting::tally(&serial_models);
 
     let parallel_models = fresh_estimators(&adv);
-    let parallel =
-        exhaustive_search_with(&space, &qos, &parallel_models, &SearchOptions::parallel());
+    let parallel = solve(&space, &qos, &parallel_models, &strategy, &parallel_opts).unwrap();
     let parallel_calls = CostAccounting::tally(&parallel_models);
 
     assert_eq!(serial, parallel);
@@ -135,7 +138,14 @@ fn heterogeneous_model_sets_enumerate_through_dyn() {
     let est = adv.estimator(0);
     let actuals = adv.actual_models();
     let models: Vec<&dyn CostModel> = vec![&est, &actuals[1]];
-    let r = vda::core::enumerate::greedy_search(&space, adv.qos(), &models);
+    let r = solve(
+        &space,
+        adv.qos(),
+        &models,
+        &Strategy::Greedy,
+        &Default::default(),
+    )
+    .unwrap();
     let total: f64 = r.allocations.iter().map(|a| a.cpu()).sum();
     assert!(total <= 1.0 + 1e-9);
     assert!(r.limits_met.iter().all(|&m| m));

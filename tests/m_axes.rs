@@ -17,9 +17,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vda::core::costmodel::FnCostModel;
-use vda::core::enumerate::{
-    coarse_to_fine_search_with, exhaustive_search_with, CoarseToFineOptions, SearchOptions,
-};
+use vda::core::enumerate::{solve, CoarseToFineOptions, SearchOptions, Strategy as Search};
 use vda::core::problem::{Allocation, AxisSet, QoS, Resource, ResourceVector, SearchSpace};
 
 // ---------------------------------------------------------------------
@@ -339,7 +337,8 @@ proptest! {
         if units_total < n * min_units {
             prop_assert!(legacy.is_none());
         } else {
-            let new = exhaustive_search_with(&space, qos, &models, &SearchOptions::serial());
+            let new = solve(&space, qos, &models, &Search::Exhaustive, &SearchOptions::serial())
+                .unwrap();
             let legacy = legacy.expect("grid hosts the workloads");
 
             // Bit-identical, not approximately equal.
@@ -381,14 +380,10 @@ proptest! {
                 })
             })
             .collect();
-        let full = exhaustive_search_with(&space, qos, &models, &SearchOptions::serial());
-        let c2f = coarse_to_fine_search_with(
-            &space,
-            qos,
-            &models,
-            &CoarseToFineOptions::auto(&space, models.len()),
-            &SearchOptions::serial(),
-        );
+        let serial = SearchOptions::serial();
+        let full = solve(&space, qos, &models, &Search::Exhaustive, &serial).unwrap();
+        let c2f_opts = CoarseToFineOptions::auto(&space, models.len());
+        let c2f = solve(&space, qos, &models, &Search::CoarseToFine(c2f_opts), &serial).unwrap();
         prop_assert!(
             (c2f.weighted_cost - full.weighted_cost).abs()
                 <= 1e-9 * full.weighted_cost.abs().max(1.0),
@@ -437,8 +432,9 @@ fn three_axis_windowed_refinement_matches_full_grid_at_n3() {
         })
         .collect();
     let qos = vec![QoS::with_limit(2.5), QoS::default(), QoS::with_gain(2.0)];
-    let full = exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial());
-    let c2f = coarse_to_fine_search_with(&space, &qos, &models, &opts, &SearchOptions::serial());
+    let serial = SearchOptions::serial();
+    let full = solve(&space, &qos, &models, &Search::Exhaustive, &serial).unwrap();
+    let c2f = solve(&space, &qos, &models, &Search::CoarseToFine(opts), &serial).unwrap();
     assert!(
         (c2f.weighted_cost - full.weighted_cost).abs() <= 1e-9 * full.weighted_cost.abs().max(1.0),
         "c2f {} vs full {}",
@@ -474,7 +470,14 @@ fn legacy_pin_holds_on_a_binding_limit_scenario() {
             FnCostModel::new(move |alloc: Allocation| a / alloc.cpu() + b / alloc.memory() + c)
         })
         .collect();
-    let new = exhaustive_search_with(&space, &qos, &models, &SearchOptions::serial());
+    let new = solve(
+        &space,
+        &qos,
+        &models,
+        &Search::Exhaustive,
+        &SearchOptions::serial(),
+    )
+    .unwrap();
     assert_eq!(new.weighted_cost, legacy.weighted_cost);
     assert_eq!(new.limits_met, legacy.limits_met);
     assert!(new.limits_met[0], "the limit is satisfiable here");

@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 use vda::core::costmodel::{CostModel, FnCostModel};
 use vda::core::enumerate::{
-    coarse_to_fine_search_warm, try_coarse_to_fine_search_with, try_exhaustive_search_with,
-    CoarseToFineOptions, SearchOptions, WarmStart,
+    solve, CoarseToFineOptions, SearchOptions, Strategy as Search, WarmStart,
 };
 use vda::core::problem::{Allocation, QoS, SearchSpace};
 
@@ -74,13 +73,14 @@ fn check_period<M: CostModel>(
     period: usize,
 ) {
     let serial = SearchOptions::serial();
-    let warm_r =
-        coarse_to_fine_search_warm(space, qos, models, opts, &serial, SALT, fingerprints, warm)
-            .expect("grid hosts the workloads");
-    let cold_r = try_coarse_to_fine_search_with(space, qos, models, opts, &serial)
-        .expect("c2f is None only when exhaustive is");
+    let warm_r = warm
+        .solve(space, qos, models, opts, &serial, SALT, fingerprints)
+        .expect("grid hosts the workloads");
+    let cold = Search::CoarseToFine(opts.clone());
+    let cold_r =
+        solve(space, qos, models, &cold, &serial).expect("c2f fails only when exhaustive does");
     let full_r =
-        try_exhaustive_search_with(space, qos, models, &serial).expect("grid hosts the workloads");
+        solve(space, qos, models, &Search::Exhaustive, &serial).expect("grid hosts the workloads");
     for (name, other) in [("cold c2f", &cold_r), ("full grid", &full_r)] {
         prop_assert!(
             (warm_r.weighted_cost - other.weighted_cost).abs() <= 1e-9,
@@ -227,7 +227,7 @@ fn jointly_infeasible_periods_are_flagged_and_recovered_from() {
             period,
         );
         let serial = SearchOptions::serial();
-        let full = try_exhaustive_search_with(&space, &qos, &models, &serial).unwrap();
+        let full = solve(&space, &qos, &models, &Search::Exhaustive, &serial).unwrap();
         if period == 1 {
             assert!(
                 full.limits_met.iter().any(|m| !m),
