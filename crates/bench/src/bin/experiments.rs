@@ -32,7 +32,7 @@
 //! ```
 
 use std::process::ExitCode;
-use vda_bench::experiments;
+use vda_bench::experiments::{self, adaptbench, dynbench, enumeration, fleetbench, placement};
 
 /// Extract `--<flag> [path.json]` from `args`: the flag plus an
 /// optional `.json` path operand; anything else (e.g. `all`, `fig2`)
@@ -47,71 +47,31 @@ fn json_flag(args: &mut Vec<String>, flag: &str, default: &str) -> Option<String
     })
 }
 
+/// Measures a scenario, writes its artifact to the given path, and
+/// returns the rendered report text.
+type WriteJson = fn(&str) -> std::io::Result<String>;
+
+/// The artifact flags: `(flag, default path, writer)`.
+#[rustfmt::skip]
+const ARTIFACTS: [(&str, &str, WriteJson); 5] = [
+    ("--enumeration-json", "BENCH_enumeration.json", enumeration::write_json),
+    ("--placement-json", "BENCH_placement.json", placement::write_json),
+    ("--dynamic-json", "BENCH_dynamic.json", dynbench::write_json),
+    ("--fleet-json", "BENCH_fleet.json", fleetbench::write_json),
+    ("--adaptive-json", "BENCH_adaptive.json", adaptbench::write_json),
+];
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut ran_flag = false;
-    if let Some(path) = json_flag(&mut args, "--enumeration-json", "BENCH_enumeration.json") {
+    for (flag, default, write_json) in ARTIFACTS {
+        let Some(path) = json_flag(&mut args, flag, default) else {
+            continue;
+        };
         ran_flag = true;
-        match experiments::enumeration::write_json(&path) {
-            Ok(ms) => {
-                println!("{}", experiments::enumeration::run_from(ms));
-                println!("wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = json_flag(&mut args, "--placement-json", "BENCH_placement.json") {
-        ran_flag = true;
-        match experiments::placement::write_json(&path) {
-            Ok(bench) => {
-                println!("{}", experiments::placement::run_from(bench.homogeneous));
-                println!(
-                    "{}",
-                    experiments::placement::run_heterogeneous_from(bench.heterogeneous)
-                );
-                println!("wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = json_flag(&mut args, "--dynamic-json", "BENCH_dynamic.json") {
-        ran_flag = true;
-        match experiments::dynbench::write_json(&path) {
-            Ok(m) => {
-                println!("{}", experiments::dynbench::run_from(m));
-                println!("wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = json_flag(&mut args, "--fleet-json", "BENCH_fleet.json") {
-        ran_flag = true;
-        match experiments::fleetbench::write_json(&path) {
-            Ok((m, s)) => {
-                println!("{}", experiments::fleetbench::run_from(m));
-                println!("{}", experiments::fleetbench::run_scaled_from(&s));
-                println!("wrote {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = json_flag(&mut args, "--adaptive-json", "BENCH_adaptive.json") {
-        ran_flag = true;
-        match experiments::adaptbench::write_json(&path) {
-            Ok((m, r)) => {
-                println!("{}", experiments::adaptbench::run_from(&m, &r));
+        match write_json(&path) {
+            Ok(report) => {
+                println!("{report}");
                 println!("wrote {path}");
             }
             Err(e) => {

@@ -51,6 +51,7 @@
 use crate::harness::{fmt_f, fmt_pct, Report, Table};
 use crate::setups::{self, EngineChoice};
 use std::time::Instant;
+use vda_core::jsonio::{write_pretty, Json};
 use vda_core::problem::{QoS, SearchSpace};
 use vda_core::tenant::Tenant;
 use vda_core::VirtualizationDesignAdvisor;
@@ -327,7 +328,7 @@ pub struct ImproveBench {
     pub event_calls_frozen: u64,
     /// Guardrail lifecycle tallies (adaptive leg).
     pub tallies: LifecycleTallies,
-    /// Final *predicted* fleet objective, frozen leg (`{:.9}`-gated).
+    /// Final *predicted* fleet objective, frozen leg (gated).
     pub frozen_objective: f64,
     /// Final predicted fleet objective, adaptive leg. Higher than the
     /// frozen leg's — the promoted corrections stop underpricing OLTP.
@@ -386,7 +387,7 @@ pub struct RollbackBench {
     /// Post-rollback placements, objective bits, and every installed
     /// calibration fingerprint equal the never-canaried baseline's.
     pub state_restored: bool,
-    /// Final fleet objective (both planes; `{:.9}`-gated).
+    /// Final fleet objective (both planes; gated).
     pub final_objective: f64,
     /// Wall time of the paired run.
     pub rollback_wall_ms: f64,
@@ -643,100 +644,71 @@ pub fn run_from(m: &ImproveBench, r: &RollbackBench) -> Report {
 /// Everything except the `*_wall_ms` fields is deterministic and
 /// gated by `check_bench`.
 pub fn to_json(m: &ImproveBench, r: &RollbackBench) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"adaptbench\",\n",
-            "  \"machines\": {},\n",
-            "  \"tenants\": {},\n",
-            "  \"hardware_classes\": {},\n",
-            "  \"oltp_tenants\": {},\n",
-            "  \"space\": \"cpu_only_512mb\",\n",
-            "  \"drift_clients\": {},\n",
-            "  \"drift_events\": {},\n",
-            "  \"actuals_events\": {},\n",
-            "  \"adaptation_rounds\": {},\n",
-            "  \"adaptive_wall_ms\": {:.3},\n",
-            "  \"frozen_wall_ms\": {:.3},\n",
-            "  \"construction_optimizer_calls\": {},\n",
-            "  \"event_optimizer_calls_adaptive\": {},\n",
-            "  \"event_optimizer_calls_frozen\": {},\n",
-            "  \"shadow_reports\": {},\n",
-            "  \"canary_deployments\": {},\n",
-            "  \"promotions\": {},\n",
-            "  \"rollbacks\": {},\n",
-            "  \"frozen_objective\": {:.9},\n",
-            "  \"adaptive_objective\": {:.9},\n",
-            "  \"frozen_actual_seconds\": {:.9},\n",
-            "  \"adaptive_actual_seconds\": {:.9},\n",
-            "  \"actual_improvement\": {:.6},\n",
-            "  \"frozen_mape\": {:.6},\n",
-            "  \"adaptive_mape\": {:.6},\n",
-            "  \"all_promoted\": {},\n",
-            "  \"adaptive_improves\": {},\n",
-            "  \"reduces_error\": {},\n",
-            "  \"rollback\": {{\n",
-            "    \"machines\": {},\n",
-            "    \"events\": {},\n",
-            "    \"rollback_wall_ms\": {:.3},\n",
-            "    \"canary_deployed\": {},\n",
-            "    \"diverged_during_canary\": {},\n",
-            "    \"rolled_back\": {},\n",
-            "    \"never_promoted\": {},\n",
-            "    \"state_restored\": {},\n",
-            "    \"final_objective\": {:.9}\n",
-            "  }}\n",
-            "}}\n"
+    write_pretty(&Json::obj(vec![
+        ("experiment", "adaptbench".into()),
+        ("machines", m.scale.machines.into()),
+        (
+            "tenants",
+            (m.scale.machines * (m.scale.dss_per_machine + 1)).into(),
         ),
-        m.scale.machines,
-        m.scale.machines * (m.scale.dss_per_machine + 1),
-        m.classes,
-        m.scale.machines,
-        m.scale.drift_clients,
-        m.drift_events,
-        m.actuals_events,
-        m.rounds_used,
-        m.adaptive_wall_ms,
-        m.frozen_wall_ms,
-        m.construction_calls,
-        m.event_calls_adaptive,
-        m.event_calls_frozen,
-        m.tallies.shadows,
-        m.tallies.canaries,
-        m.tallies.promotions,
-        m.tallies.rollbacks,
-        m.frozen_objective,
-        m.adaptive_objective,
-        m.frozen_actual_seconds,
-        m.adaptive_actual_seconds,
-        m.actual_improvement(),
-        m.frozen_mape,
-        m.adaptive_mape,
-        m.all_promoted,
-        m.adaptive_improves(),
-        m.reduces_error(),
-        r.machines,
-        r.events,
-        r.rollback_wall_ms,
-        r.canary_deployed,
-        r.diverged_during_canary,
-        r.rolled_back,
-        r.never_promoted,
-        r.state_restored,
-        r.final_objective,
-    )
+        ("hardware_classes", m.classes.into()),
+        ("oltp_tenants", m.scale.machines.into()),
+        ("space", "cpu_only_512mb".into()),
+        ("drift_clients", u64::from(m.scale.drift_clients).into()),
+        ("drift_events", m.drift_events.into()),
+        ("actuals_events", m.actuals_events.into()),
+        ("adaptation_rounds", m.rounds_used.into()),
+        ("adaptive_wall_ms", m.adaptive_wall_ms.into()),
+        ("frozen_wall_ms", m.frozen_wall_ms.into()),
+        ("construction_optimizer_calls", m.construction_calls.into()),
+        (
+            "event_optimizer_calls_adaptive",
+            m.event_calls_adaptive.into(),
+        ),
+        ("event_optimizer_calls_frozen", m.event_calls_frozen.into()),
+        ("shadow_reports", m.tallies.shadows.into()),
+        ("canary_deployments", m.tallies.canaries.into()),
+        ("promotions", m.tallies.promotions.into()),
+        ("rollbacks", m.tallies.rollbacks.into()),
+        ("frozen_objective", m.frozen_objective.into()),
+        ("adaptive_objective", m.adaptive_objective.into()),
+        ("frozen_actual_seconds", m.frozen_actual_seconds.into()),
+        ("adaptive_actual_seconds", m.adaptive_actual_seconds.into()),
+        ("actual_improvement", m.actual_improvement().into()),
+        ("frozen_mape", m.frozen_mape.into()),
+        ("adaptive_mape", m.adaptive_mape.into()),
+        ("all_promoted", m.all_promoted.into()),
+        ("adaptive_improves", m.adaptive_improves().into()),
+        ("reduces_error", m.reduces_error().into()),
+        (
+            "rollback",
+            Json::obj(vec![
+                ("machines", r.machines.into()),
+                ("events", r.events.into()),
+                ("rollback_wall_ms", r.rollback_wall_ms.into()),
+                ("canary_deployed", r.canary_deployed.into()),
+                ("diverged_during_canary", r.diverged_during_canary.into()),
+                ("rolled_back", r.rolled_back.into()),
+                ("never_promoted", r.never_promoted.into()),
+                ("state_restored", r.state_restored.into()),
+                ("final_objective", r.final_objective.into()),
+            ]),
+        ),
+    ]))
 }
 
-/// Measure at full scale and write `BENCH_adaptive.json` to `path`.
-pub fn write_json(path: &str) -> std::io::Result<(ImproveBench, RollbackBench)> {
+/// Measure at full scale, write `BENCH_adaptive.json` to `path`, and
+/// return the rendered report.
+pub fn write_json(path: &str) -> std::io::Result<String> {
     let (m, r) = measure();
     std::fs::write(path, to_json(&m, &r))?;
-    Ok((m, r))
+    Ok(run_from(&m, &r).to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vda_core::jsonio::parse;
 
     /// Miniature scale: one machine pair per class, two rollback
     /// machines, same recipe as [`FULL`] at unit-test cost.
@@ -784,7 +756,20 @@ mod tests {
         assert!(json.contains("\"adaptive_improves\": true"));
         assert!(json.contains("\"reduces_error\": true"));
         assert!(json.contains("\"state_restored\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = parse(&json).expect("the artifact parses");
+        for gate in ["all_promoted", "adaptive_improves", "reduces_error"] {
+            assert_eq!(doc.get(gate), Some(&Json::Bool(true)), "{gate}");
+        }
+        let rollback = doc.get("rollback").expect("nested rollback section");
+        for gate in [
+            "canary_deployed",
+            "diverged_during_canary",
+            "rolled_back",
+            "never_promoted",
+            "state_restored",
+        ] {
+            assert_eq!(rollback.get(gate), Some(&Json::Bool(true)), "{gate}");
+        }
     }
 
     #[test]

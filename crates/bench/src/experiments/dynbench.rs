@@ -25,6 +25,7 @@ use crate::harness::{fmt_f, Report, Table};
 use crate::setups::{self, cold_estimators, EngineChoice};
 use std::time::Instant;
 use vda_core::costmodel::ProbeCache;
+use vda_core::jsonio::{write_pretty, Json};
 use vda_core::metrics::CostAccounting;
 use vda_core::problem::{QoS, SearchSpace};
 use vda_core::tenant::Tenant;
@@ -147,7 +148,7 @@ pub struct DynamicBench {
     /// Whether every period's incremental result matched the cold one
     /// bit-for-bit (objective, allocations, limit verdicts).
     pub results_match: bool,
-    /// Per-machine weighted cost after the final period (`{:.9}`-gated).
+    /// Per-machine weighted cost after the final period (gated).
     pub final_objectives: Vec<f64>,
     /// Wall time of the cold leg, milliseconds.
     pub cold_wall_ms: f64,
@@ -348,75 +349,52 @@ pub fn run_from(m: DynamicBench) -> Report {
 /// Everything except the `*_ms` fields is deterministic and gated by
 /// `check_bench`.
 pub fn to_json(m: &DynamicBench) -> String {
-    let cold: Vec<String> = m.cold_calls_per_period.iter().map(u64::to_string).collect();
-    let warm: Vec<String> = m.warm_calls_per_period.iter().map(u64::to_string).collect();
-    let finals: Vec<String> = m
-        .final_objectives
-        .iter()
-        .map(|o| format!("{o:.9}"))
-        .collect();
     let (cold_solves, delta_solves, lattice_reuses) = m.warm_solve_stats;
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"dynbench\",\n",
-            "  \"machines\": {},\n",
-            "  \"workloads\": {},\n",
-            "  \"periods\": {},\n",
-            "  \"space\": \"cpu_and_memory\",\n",
-            "  \"delta\": 0.05,\n",
-            "  \"cold_wall_ms\": {:.3},\n",
-            "  \"warm_wall_ms\": {:.3},\n",
-            "  \"init_optimizer_calls_cold\": {},\n",
-            "  \"init_optimizer_calls_incremental\": {},\n",
-            "  \"steady_optimizer_calls_cold\": {},\n",
-            "  \"steady_optimizer_calls_incremental\": {},\n",
-            "  \"cold_calls_per_period\": [{}],\n",
-            "  \"incremental_calls_per_period\": [{}],\n",
-            "  \"cold_solves\": {},\n",
-            "  \"delta_solves\": {},\n",
-            "  \"lattice_reuses\": {},\n",
-            "  \"probe_hits\": {},\n",
-            "  \"probe_misses\": {},\n",
-            "  \"final_objectives\": [{}],\n",
-            "  \"speedup\": {:.3},\n",
-            "  \"results_match\": {},\n",
-            "  \"meets_10x\": {}\n",
-            "}}\n"
+    write_pretty(&Json::obj(vec![
+        ("experiment", "dynbench".into()),
+        ("machines", MACHINES.into()),
+        ("workloads", TENANTS.into()),
+        ("periods", PERIODS.into()),
+        ("space", "cpu_and_memory".into()),
+        ("delta", 0.05.into()),
+        ("cold_wall_ms", m.cold_wall_ms.into()),
+        ("warm_wall_ms", m.warm_wall_ms.into()),
+        ("init_optimizer_calls_cold", m.init_cold_calls.into()),
+        ("init_optimizer_calls_incremental", m.init_warm_calls.into()),
+        ("steady_optimizer_calls_cold", m.steady_cold_calls().into()),
+        (
+            "steady_optimizer_calls_incremental",
+            m.steady_warm_calls().into(),
         ),
-        MACHINES,
-        TENANTS,
-        PERIODS,
-        m.cold_wall_ms,
-        m.warm_wall_ms,
-        m.init_cold_calls,
-        m.init_warm_calls,
-        m.steady_cold_calls(),
-        m.steady_warm_calls(),
-        cold.join(", "),
-        warm.join(", "),
-        cold_solves,
-        delta_solves,
-        lattice_reuses,
-        m.accounting.probe_hits,
-        m.accounting.probe_misses,
-        finals.join(", "),
-        m.speedup(),
-        m.results_match,
-        m.meets_10x(),
-    )
+        ("cold_calls_per_period", Json::arr(&m.cold_calls_per_period)),
+        (
+            "incremental_calls_per_period",
+            Json::arr(&m.warm_calls_per_period),
+        ),
+        ("cold_solves", cold_solves.into()),
+        ("delta_solves", delta_solves.into()),
+        ("lattice_reuses", lattice_reuses.into()),
+        ("probe_hits", m.accounting.probe_hits.into()),
+        ("probe_misses", m.accounting.probe_misses.into()),
+        ("final_objectives", Json::arr(&m.final_objectives)),
+        ("speedup", m.speedup().into()),
+        ("results_match", m.results_match.into()),
+        ("meets_10x", m.meets_10x().into()),
+    ]))
 }
 
-/// Measure and write `BENCH_dynamic.json` to `path`.
-pub fn write_json(path: &str) -> std::io::Result<DynamicBench> {
+/// Measure, write `BENCH_dynamic.json` to `path`, and return the
+/// rendered report.
+pub fn write_json(path: &str) -> std::io::Result<String> {
     let m = measure();
     std::fs::write(path, to_json(&m))?;
-    Ok(m)
+    Ok(run_from(m).to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vda_core::jsonio::parse;
 
     #[test]
     fn steady_state_is_incremental_and_exact() {
@@ -446,7 +424,14 @@ mod tests {
         assert!(json.contains("\"steady_optimizer_calls_cold\""));
         assert!(json.contains("\"results_match\": true"));
         assert!(json.contains("\"meets_10x\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = parse(&json).expect("the artifact parses");
+        for gate in ["results_match", "meets_10x"] {
+            assert_eq!(doc.get(gate), Some(&Json::Bool(true)), "{gate}");
+        }
+        assert_eq!(
+            doc.get("steady_optimizer_calls_cold")
+                .and_then(Json::as_f64),
+            Some(m.steady_cold_calls() as f64)
+        );
     }
 }

@@ -28,7 +28,7 @@ use crate::setups::{self, cold_estimators, EngineChoice, FIXED_512MB_SHARE};
 use std::time::Instant;
 use vda_core::costmodel::CalibrationConfig;
 use vda_core::enumerate::{solve, CoarseToFineOptions, SearchOptions, SearchResult, Strategy};
-use vda_core::jsonio::fmt_f64;
+use vda_core::jsonio::{fmt_f64, write_pretty, Json};
 use vda_core::metrics::CostAccounting;
 use vda_core::problem::{Resource, SearchSpace};
 use vda_core::tenant::Tenant;
@@ -558,174 +558,104 @@ pub fn run_from(bench: EnumerationBench) -> Report {
 }
 
 /// Serialize measurements as the `BENCH_enumeration.json` artifact.
+/// Unset (infinite) degradation limits print as `null`.
 pub fn to_json(bench: &EnumerationBench) -> String {
-    let algos: Vec<String> = bench
-        .algos
-        .iter()
-        .map(|m| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"name\": \"{}\",\n",
-                    "      \"serial_ms\": {:.3},\n",
-                    "      \"parallel_ms\": {:.3},\n",
-                    "      \"speedup\": {:.3},\n",
-                    "      \"optimizer_calls_serial\": {},\n",
-                    "      \"optimizer_calls_parallel\": {},\n",
-                    "      \"cache_hits\": {},\n",
-                    "      \"iterations\": {},\n",
-                    "      \"allocations_identical\": {}\n",
-                    "    }}"
-                ),
-                m.name,
-                m.serial_ms,
-                m.parallel_ms,
-                m.speedup(),
-                m.optimizer_calls_serial,
-                m.optimizer_calls_parallel,
-                m.cache_hits,
-                m.iterations,
-                m.identical,
-            )
-        })
-        .collect();
-    let c2f = &bench.c2f;
-    let ladder: Vec<String> = c2f.coarse_deltas.iter().map(|d| fmt_f64(*d)).collect();
-    let lim = &bench.c2f_limited;
-    let lim_ladder: Vec<String> = lim.base.coarse_deltas.iter().map(|d| fmt_f64(*d)).collect();
-    let lim_limits: Vec<String> = lim
-        .degradation_limits
-        .iter()
-        .map(|l| {
-            if l.is_finite() {
-                fmt_f64(*l)
-            } else {
-                "null".to_string()
-            }
-        })
-        .collect();
-    let lim_met: Vec<String> = lim.full_limits_met.iter().map(|m| format!("{m}")).collect();
-    let ax3 = &bench.c2f_3axis;
-    let ax3_ladder: Vec<String> = ax3.coarse_deltas.iter().map(|d| fmt_f64(*d)).collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"enumeration\",\n",
-            "  \"workloads\": 5,\n",
-            "  \"space\": \"cpu_only\",\n",
-            "  \"delta\": 0.05,\n",
-            "  \"threads\": {},\n",
-            "  \"algorithms\": [\n{}\n  ],\n",
-            "  \"coarse_to_fine\": {{\n",
-            "    \"workloads\": {},\n",
-            "    \"space\": \"cpu_and_memory\",\n",
-            "    \"delta\": {},\n",
-            "    \"coarse_deltas\": [{}],\n",
-            "    \"full_ms\": {:.3},\n",
-            "    \"c2f_ms\": {:.3},\n",
-            "    \"full_optimizer_calls\": {},\n",
-            "    \"c2f_optimizer_calls\": {},\n",
-            "    \"full_weighted_cost\": {:.9},\n",
-            "    \"c2f_weighted_cost\": {:.9},\n",
-            "    \"call_ratio\": {:.3},\n",
-            "    \"objective_match\": {},\n",
-            "    \"meets_5x\": {}\n",
-            "  }},\n",
-            "  \"coarse_to_fine_limited\": {{\n",
-            "    \"workloads\": {},\n",
-            "    \"space\": \"cpu_and_memory\",\n",
-            "    \"delta\": {},\n",
-            "    \"degradation_limits\": [{}],\n",
-            "    \"coarse_deltas\": [{}],\n",
-            "    \"full_ms\": {:.3},\n",
-            "    \"c2f_ms\": {:.3},\n",
-            "    \"full_optimizer_calls\": {},\n",
-            "    \"c2f_optimizer_calls\": {},\n",
-            "    \"full_weighted_cost\": {:.9},\n",
-            "    \"c2f_weighted_cost\": {:.9},\n",
-            "    \"limits_met\": [{}],\n",
-            "    \"call_ratio\": {:.3},\n",
-            "    \"objective_match\": {},\n",
-            "    \"limits_match\": {},\n",
-            "    \"meets_3x\": {}\n",
-            "  }},\n",
-            "  \"coarse_to_fine_3axis\": {{\n",
-            "    \"workloads\": {},\n",
-            "    \"space\": \"cpu_memory_disk\",\n",
-            "    \"delta\": {},\n",
-            "    \"disk_calibration_levels\": [{}],\n",
-            "    \"coarse_deltas\": [{}],\n",
-            "    \"full_ms\": {:.3},\n",
-            "    \"c2f_ms\": {:.3},\n",
-            "    \"full_optimizer_calls\": {},\n",
-            "    \"c2f_optimizer_calls\": {},\n",
-            "    \"full_weighted_cost\": {:.9},\n",
-            "    \"c2f_weighted_cost\": {:.9},\n",
-            "    \"call_ratio\": {:.3},\n",
-            "    \"objective_match\": {},\n",
-            "    \"meets_2x\": {}\n",
-            "  }}\n",
-            "}}\n"
+    let algorithms = bench.algos.iter().map(|m| {
+        Json::obj(vec![
+            ("name", m.name.into()),
+            ("serial_ms", m.serial_ms.into()),
+            ("parallel_ms", m.parallel_ms.into()),
+            ("speedup", m.speedup().into()),
+            ("optimizer_calls_serial", m.optimizer_calls_serial.into()),
+            (
+                "optimizer_calls_parallel",
+                m.optimizer_calls_parallel.into(),
+            ),
+            ("cache_hits", m.cache_hits.into()),
+            ("iterations", m.iterations.into()),
+            ("allocations_identical", m.identical.into()),
+        ])
+    });
+    let (c2f, lim, ax3) = (&bench.c2f, &bench.c2f_limited, &bench.c2f_3axis);
+    write_pretty(&Json::obj(vec![
+        ("experiment", "enumeration".into()),
+        ("workloads", 5u64.into()),
+        ("space", "cpu_only".into()),
+        ("delta", 0.05.into()),
+        ("threads", rayon::current_num_threads().into()),
+        ("algorithms", Json::Arr(algorithms.collect())),
+        (
+            "coarse_to_fine",
+            c2f_json(
+                c2f,
+                "cpu_and_memory",
+                vec![("meets_5x", c2f.meets_5x().into())],
+            ),
         ),
-        rayon::current_num_threads(),
-        algos.join(",\n"),
-        c2f.workloads,
-        fmt_f64(c2f.delta),
-        ladder.join(", "),
-        c2f.full_ms,
-        c2f.c2f_ms,
-        c2f.full_optimizer_calls,
-        c2f.c2f_optimizer_calls,
-        c2f.full_weighted_cost,
-        c2f.c2f_weighted_cost,
-        c2f.call_ratio(),
-        c2f.objective_match(),
-        c2f.meets_5x(),
-        lim.base.workloads,
-        fmt_f64(lim.base.delta),
-        lim_limits.join(", "),
-        lim_ladder.join(", "),
-        lim.base.full_ms,
-        lim.base.c2f_ms,
-        lim.base.full_optimizer_calls,
-        lim.base.c2f_optimizer_calls,
-        lim.base.full_weighted_cost,
-        lim.base.c2f_weighted_cost,
-        lim_met.join(", "),
-        lim.base.call_ratio(),
-        lim.base.objective_match(),
-        lim.limits_match,
-        lim.meets_3x(),
-        ax3.workloads,
-        fmt_f64(ax3.delta),
-        DISK_CALIBRATION_LEVELS
-            .iter()
-            .map(|d| fmt_f64(*d))
-            .collect::<Vec<_>>()
-            .join(", "),
-        ax3_ladder.join(", "),
-        ax3.full_ms,
-        ax3.c2f_ms,
-        ax3.full_optimizer_calls,
-        ax3.c2f_optimizer_calls,
-        ax3.full_weighted_cost,
-        ax3.c2f_weighted_cost,
-        ax3.call_ratio(),
-        ax3.objective_match(),
-        ax3.meets_2x(),
-    )
+        (
+            "coarse_to_fine_limited",
+            c2f_json(
+                &lim.base,
+                "cpu_and_memory",
+                vec![
+                    ("degradation_limits", Json::arr(&lim.degradation_limits)),
+                    ("limits_met", Json::arr(&lim.full_limits_met)),
+                    ("limits_match", lim.limits_match.into()),
+                    ("meets_3x", lim.meets_3x().into()),
+                ],
+            ),
+        ),
+        (
+            "coarse_to_fine_3axis",
+            c2f_json(
+                ax3,
+                "cpu_memory_disk",
+                vec![
+                    (
+                        "disk_calibration_levels",
+                        Json::arr(&DISK_CALIBRATION_LEVELS),
+                    ),
+                    ("meets_2x", ax3.meets_2x().into()),
+                ],
+            ),
+        ),
+    ]))
 }
 
-/// Measure and write `BENCH_enumeration.json` to `path`.
-pub fn write_json(path: &str) -> std::io::Result<EnumerationBench> {
+/// One coarse-to-fine-vs-full-grid section: the scenario, the
+/// measured counts and objectives, then the section's own `extra`
+/// members.
+fn c2f_json(c: &C2fMeasurement, space: &str, extra: Vec<(&str, Json)>) -> Json {
+    let mut members = vec![
+        ("workloads", c.workloads.into()),
+        ("space", space.into()),
+        ("delta", c.delta.into()),
+        ("coarse_deltas", Json::arr(&c.coarse_deltas)),
+        ("full_ms", c.full_ms.into()),
+        ("c2f_ms", c.c2f_ms.into()),
+        ("full_optimizer_calls", c.full_optimizer_calls.into()),
+        ("c2f_optimizer_calls", c.c2f_optimizer_calls.into()),
+        ("full_weighted_cost", c.full_weighted_cost.into()),
+        ("c2f_weighted_cost", c.c2f_weighted_cost.into()),
+        ("call_ratio", c.call_ratio().into()),
+        ("objective_match", c.objective_match().into()),
+    ];
+    members.extend(extra);
+    Json::obj(members)
+}
+
+/// Measure, write `BENCH_enumeration.json` to `path`, and return the
+/// rendered report.
+pub fn write_json(path: &str) -> std::io::Result<String> {
     let bench = measurements();
     std::fs::write(path, to_json(&bench))?;
-    Ok(bench)
+    Ok(run_from(bench).to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vda_core::jsonio::parse;
 
     fn fake_bench() -> EnumerationBench {
         EnumerationBench {
@@ -809,7 +739,28 @@ mod tests {
         assert!(json.contains("\"space\": \"cpu_memory_disk\""));
         assert!(json.contains("\"disk_calibration_levels\": [0.25, 0.5, 1]"));
         assert!(json.contains("\"meets_2x\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = parse(&json).expect("the artifact parses");
+        let leaves = doc.leaves();
+        for gate in [
+            "algorithms[0].allocations_identical",
+            "coarse_to_fine.objective_match",
+            "coarse_to_fine.meets_5x",
+            "coarse_to_fine_limited.objective_match",
+            "coarse_to_fine_limited.limits_match",
+            "coarse_to_fine_limited.limits_met[9]",
+            "coarse_to_fine_limited.meets_3x",
+            "coarse_to_fine_3axis.objective_match",
+            "coarse_to_fine_3axis.meets_2x",
+        ] {
+            assert_eq!(leaves.get(gate), Some(&Json::Bool(true)), "{gate}");
+        }
+        // Ratios print at full precision.
+        assert_eq!(
+            doc.get("coarse_to_fine")
+                .and_then(|c| c.get("call_ratio"))
+                .and_then(Json::as_f64),
+            Some(52020.0 / 4880.0)
+        );
     }
 
     #[test]

@@ -82,6 +82,7 @@
 use crate::harness::{fmt_f, Report, Table};
 use crate::setups::{self, EngineChoice};
 use std::time::Instant;
+use vda_core::jsonio::{write_pretty, Json};
 use vda_core::problem::{QoS, ResourceVector, SearchSpace};
 use vda_core::tenant::Tenant;
 use vda_core::VirtualizationDesignAdvisor;
@@ -465,7 +466,7 @@ pub struct FleetBench {
     /// Optimizer calls paid standing the plane up (calibration probes
     /// plus the initial full-fleet solve).
     pub construction_calls: u64,
-    /// Fleet objective after the initial solve (`{:.9}`-gated).
+    /// Fleet objective after the initial solve (gated).
     pub initial_objective: f64,
     /// Event-phase optimizer calls, incremental leg.
     pub warm_event_calls: u64,
@@ -485,7 +486,7 @@ pub struct FleetBench {
     /// Summed warm-start counters over the incremental leg's machines:
     /// `(cold_solves, delta_solves, lattice_reuses)`.
     pub warm_solve_stats: (u64, u64, u64),
-    /// Fleet objective after the final event (`{:.9}`-gated).
+    /// Fleet objective after the final event (gated).
     pub final_objective: f64,
     /// Size of the serialized mid-stream snapshot, bytes.
     pub snapshot_bytes: usize,
@@ -659,7 +660,7 @@ pub struct ScaledBench {
     /// Optimizer calls standing one leg's plane up (identical across
     /// legs — the fleets are clones).
     pub construction_calls: u64,
-    /// Fleet objective after the initial solve (`{:.9}`-gated).
+    /// Fleet objective after the initial solve (gated).
     pub initial_objective: f64,
     /// Event-phase optimizer calls, per-event leg.
     pub per_event_calls: u64,
@@ -696,7 +697,7 @@ pub struct ScaledBench {
     pub probe_bytes_uncapped: u64,
     /// Final probe-cache resident bytes, capped leg.
     pub probe_bytes_capped: u64,
-    /// Fleet objective after the storm (`{:.9}`-gated).
+    /// Fleet objective after the storm (gated).
     pub final_objective: f64,
     /// Batched leg's final placements and objective bits equal the
     /// per-event leg's.
@@ -912,182 +913,105 @@ pub fn run_from(m: FleetBench) -> Report {
     report
 }
 
-/// Serialize the measurement as the `BENCH_fleet.json` artifact.
-/// Everything except the `*_ms` fields is deterministic and gated by
-/// `check_bench` (including `call_ratio` — it counts optimizer calls,
-/// not wall-clock).
-pub fn to_json(m: &FleetBench) -> String {
+/// Serialize both sections as the `BENCH_fleet.json` artifact: the
+/// 202-machine smoke section at the root plus the batched section
+/// nested under `"scaled"`. Everything except the `*_ms` fields is
+/// deterministic and gated by `check_bench` (including `call_ratio` —
+/// it counts optimizer calls, not wall-clock).
+pub fn to_json(m: &FleetBench, s: &ScaledBench) -> String {
     let (cold_solves, delta_solves, lattice_reuses) = m.warm_solve_stats;
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"fleetbench\",\n",
-            "  \"machines\": {},\n",
-            "  \"spares\": {},\n",
-            "  \"tenants\": {},\n",
-            "  \"hardware_classes\": {},\n",
-            "  \"events\": {},\n",
-            "  \"snapshot_event\": {},\n",
-            "  \"space\": \"cpu_only_512mb\",\n",
-            "  \"shards\": {},\n",
-            "  \"warm_wall_ms\": {:.3},\n",
-            "  \"cold_wall_ms\": {:.3},\n",
-            "  \"p99_ms\": {:.3},\n",
-            "  \"mean_latency_ms\": {:.3},\n",
-            "  \"construction_optimizer_calls\": {},\n",
-            "  \"event_optimizer_calls_incremental\": {},\n",
-            "  \"event_optimizer_calls_cold\": {},\n",
-            "  \"call_ratio\": {:.3},\n",
-            "  \"event_kinds\": {{\n",
-            "    \"scaled\": {},\n",
-            "    \"changed_major\": {},\n",
-            "    \"changed_minor\": {},\n",
-            "    \"arrived\": {},\n",
-            "    \"departed\": {},\n",
-            "    \"decommissioned\": {}\n",
-            "  }},\n",
-            "  \"migrations\": {},\n",
-            "  \"resolves\": {},\n",
-            "  \"cold_solves\": {},\n",
-            "  \"delta_solves\": {},\n",
-            "  \"lattice_reuses\": {},\n",
-            "  \"probe_hits\": {},\n",
-            "  \"probe_misses\": {},\n",
-            "  \"initial_objective\": {:.9},\n",
-            "  \"final_objective\": {:.9},\n",
-            "  \"snapshot_bytes\": {},\n",
-            "  \"snapshot_roundtrip\": {},\n",
-            "  \"resume_matches\": {},\n",
-            "  \"results_match\": {},\n",
-            "  \"meets_5x\": {}\n",
-            "}}\n"
+    write_pretty(&Json::obj(vec![
+        ("experiment", "fleetbench".into()),
+        ("machines", (m.scale.populated + m.scale.spares).into()),
+        ("spares", m.scale.spares.into()),
+        (
+            "tenants",
+            (m.scale.populated * m.scale.tenants_per_machine).into(),
         ),
-        m.scale.populated + m.scale.spares,
-        m.scale.spares,
-        m.scale.populated * m.scale.tenants_per_machine,
-        GHZ_STEPS.len(),
-        m.scale.events,
-        m.scale.snapshot_event,
-        m.shards,
-        m.warm_wall_ms,
-        m.cold_wall_ms,
-        m.p99_ms,
-        m.mean_ms,
-        m.construction_calls,
-        m.warm_event_calls,
-        m.cold_event_calls,
-        m.call_ratio(),
-        m.kinds.scaled,
-        m.kinds.changed_major,
-        m.kinds.changed_minor,
-        m.kinds.arrived,
-        m.kinds.departed,
-        m.kinds.decommissioned,
-        m.migrations,
-        m.resolves,
-        cold_solves,
-        delta_solves,
-        lattice_reuses,
-        m.probe_hits,
-        m.probe_misses,
-        m.initial_objective,
-        m.final_objective,
-        m.snapshot_bytes,
-        m.snapshot_roundtrip,
-        m.resume_matches,
-        m.results_match,
-        m.meets_5x(),
-    )
-}
-
-/// The nested `"scaled"` object of `BENCH_fleet.json` (no trailing
-/// comma or newline — [`full_json`] splices it into the root
-/// document). Everything except the `*_wall_ms` leaves is
-/// deterministic and gated by `check_bench`.
-pub fn scaled_section_json(s: &ScaledBench) -> String {
-    format!(
-        concat!(
-            "  \"scaled\": {{\n",
-            "    \"machines\": {},\n",
-            "    \"tenants\": {},\n",
-            "    \"hardware_classes\": {},\n",
-            "    \"events\": {},\n",
-            "    \"batch_size\": {},\n",
-            "    \"batches\": {},\n",
-            "    \"space\": \"cpu_only_4pct\",\n",
-            "    \"shards\": {},\n",
-            "    \"probe_cache_rows\": {},\n",
-            "    \"decision_log_horizon\": {},\n",
-            "    \"per_event_wall_ms\": {:.3},\n",
-            "    \"batched_wall_ms\": {:.3},\n",
-            "    \"capped_wall_ms\": {:.3},\n",
-            "    \"construction_optimizer_calls\": {},\n",
-            "    \"event_optimizer_calls_per_event\": {},\n",
-            "    \"event_optimizer_calls_batched\": {},\n",
-            "    \"event_optimizer_calls_capped\": {},\n",
-            "    \"waves_per_event\": {},\n",
-            "    \"waves_batched\": {},\n",
-            "    \"coalesced_events\": {},\n",
-            "    \"log_dropped_per_event\": {},\n",
-            "    \"log_len_batched\": {},\n",
-            "    \"log_dropped_batched\": {},\n",
-            "    \"probe_misses_uncapped\": {},\n",
-            "    \"probe_misses_capped\": {},\n",
-            "    \"probe_evictions\": {},\n",
-            "    \"probe_bytes_uncapped\": {},\n",
-            "    \"probe_bytes_capped\": {},\n",
-            "    \"initial_objective\": {:.9},\n",
-            "    \"final_objective\": {:.9},\n",
-            "    \"serial_equivalence\": {},\n",
-            "    \"results_match\": {},\n",
-            "    \"batching_cuts_waves\": {},\n",
-            "    \"cache_bounded\": {}\n",
-            "  }}"
+        ("hardware_classes", GHZ_STEPS.len().into()),
+        ("events", m.scale.events.into()),
+        ("snapshot_event", m.scale.snapshot_event.into()),
+        ("space", "cpu_only_512mb".into()),
+        ("shards", m.shards.into()),
+        ("warm_wall_ms", m.warm_wall_ms.into()),
+        ("cold_wall_ms", m.cold_wall_ms.into()),
+        ("p99_ms", m.p99_ms.into()),
+        ("mean_latency_ms", m.mean_ms.into()),
+        ("construction_optimizer_calls", m.construction_calls.into()),
+        (
+            "event_optimizer_calls_incremental",
+            m.warm_event_calls.into(),
         ),
-        s.scale.populated,
-        s.scale.populated * s.scale.tenants_per_machine,
-        GHZ_STEPS.len(),
-        s.scale.events,
-        s.scale.batch,
-        s.scale.events / s.scale.batch,
-        s.shards,
-        s.scale.probe_cache_rows,
-        s.scale.log_horizon,
-        s.per_event_wall_ms,
-        s.batched_wall_ms,
-        s.capped_wall_ms,
-        s.construction_calls,
-        s.per_event_calls,
-        s.batched_calls,
-        s.capped_calls,
-        s.waves_per_event,
-        s.waves_batched,
-        s.coalesced,
-        s.log_dropped_per_event,
-        s.log_len_batched,
-        s.log_dropped_batched,
-        s.probe_misses_uncapped,
-        s.probe_misses_capped,
-        s.probe_evictions,
-        s.probe_bytes_uncapped,
-        s.probe_bytes_capped,
-        s.initial_objective,
-        s.final_objective,
-        s.serial_equivalence,
-        s.results_match,
-        s.batching_cuts_waves(),
-        s.cache_bounded(),
-    )
-}
-
-/// The complete `BENCH_fleet.json` document: the 202-machine smoke
-/// section at the root plus the nested `"scaled"` batched section.
-pub fn full_json(m: &FleetBench, s: &ScaledBench) -> String {
-    let root = to_json(m);
-    let head = root
-        .strip_suffix("\n}\n")
-        .expect("root fleet json ends with its closing brace");
-    format!("{head},\n{}\n}}\n", scaled_section_json(s))
+        ("event_optimizer_calls_cold", m.cold_event_calls.into()),
+        ("call_ratio", m.call_ratio().into()),
+        (
+            "event_kinds",
+            Json::obj(vec![
+                ("scaled", m.kinds.scaled.into()),
+                ("changed_major", m.kinds.changed_major.into()),
+                ("changed_minor", m.kinds.changed_minor.into()),
+                ("arrived", m.kinds.arrived.into()),
+                ("departed", m.kinds.departed.into()),
+                ("decommissioned", m.kinds.decommissioned.into()),
+            ]),
+        ),
+        ("migrations", m.migrations.into()),
+        ("resolves", m.resolves.into()),
+        ("cold_solves", cold_solves.into()),
+        ("delta_solves", delta_solves.into()),
+        ("lattice_reuses", lattice_reuses.into()),
+        ("probe_hits", m.probe_hits.into()),
+        ("probe_misses", m.probe_misses.into()),
+        ("initial_objective", m.initial_objective.into()),
+        ("final_objective", m.final_objective.into()),
+        ("snapshot_bytes", m.snapshot_bytes.into()),
+        ("snapshot_roundtrip", m.snapshot_roundtrip.into()),
+        ("resume_matches", m.resume_matches.into()),
+        ("results_match", m.results_match.into()),
+        ("meets_5x", m.meets_5x().into()),
+        (
+            "scaled",
+            Json::obj(vec![
+                ("machines", s.scale.populated.into()),
+                (
+                    "tenants",
+                    (s.scale.populated * s.scale.tenants_per_machine).into(),
+                ),
+                ("hardware_classes", GHZ_STEPS.len().into()),
+                ("events", s.scale.events.into()),
+                ("batch_size", s.scale.batch.into()),
+                ("batches", (s.scale.events / s.scale.batch).into()),
+                ("space", "cpu_only_4pct".into()),
+                ("shards", s.shards.into()),
+                ("probe_cache_rows", s.scale.probe_cache_rows.into()),
+                ("decision_log_horizon", s.scale.log_horizon.into()),
+                ("per_event_wall_ms", s.per_event_wall_ms.into()),
+                ("batched_wall_ms", s.batched_wall_ms.into()),
+                ("capped_wall_ms", s.capped_wall_ms.into()),
+                ("construction_optimizer_calls", s.construction_calls.into()),
+                ("event_optimizer_calls_per_event", s.per_event_calls.into()),
+                ("event_optimizer_calls_batched", s.batched_calls.into()),
+                ("event_optimizer_calls_capped", s.capped_calls.into()),
+                ("waves_per_event", s.waves_per_event.into()),
+                ("waves_batched", s.waves_batched.into()),
+                ("coalesced_events", s.coalesced.into()),
+                ("log_dropped_per_event", s.log_dropped_per_event.into()),
+                ("log_len_batched", s.log_len_batched.into()),
+                ("log_dropped_batched", s.log_dropped_batched.into()),
+                ("probe_misses_uncapped", s.probe_misses_uncapped.into()),
+                ("probe_misses_capped", s.probe_misses_capped.into()),
+                ("probe_evictions", s.probe_evictions.into()),
+                ("probe_bytes_uncapped", s.probe_bytes_uncapped.into()),
+                ("probe_bytes_capped", s.probe_bytes_capped.into()),
+                ("initial_objective", s.initial_objective.into()),
+                ("final_objective", s.final_objective.into()),
+                ("serial_equivalence", s.serial_equivalence.into()),
+                ("results_match", s.results_match.into()),
+                ("batching_cuts_waves", s.batching_cuts_waves().into()),
+                ("cache_bounded", s.cache_bounded().into()),
+            ]),
+        ),
+    ]))
 }
 
 /// Render a scaled measurement as a report.
@@ -1149,18 +1073,19 @@ pub fn run_scaled_from(s: &ScaledBench) -> Report {
     report
 }
 
-/// Measure both sections at full scale and write `BENCH_fleet.json` to
-/// `path`.
-pub fn write_json(path: &str) -> std::io::Result<(FleetBench, ScaledBench)> {
+/// Measure both sections at full scale, write `BENCH_fleet.json` to
+/// `path`, and return both rendered reports.
+pub fn write_json(path: &str) -> std::io::Result<String> {
     let m = measure().map_err(std::io::Error::other)?;
     let s = measure_scaled();
-    std::fs::write(path, full_json(&m, &s))?;
-    Ok((m, s))
+    std::fs::write(path, to_json(&m, &s))?;
+    Ok(format!("{}\n{}", run_from(m), run_scaled_from(&s)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vda_core::jsonio::parse;
 
     /// Miniature scale exercising every event kind (decommission at
     /// event 0, drift at 5/15/25, departure at 7, arrival at 17) at
@@ -1198,13 +1123,15 @@ mod tests {
             m.warm_solve_stats
         );
 
-        let json = to_json(&m);
+        let json = to_json(&m, &measure_scaled_with(TINY_SCALED));
         assert!(json.contains("\"experiment\": \"fleetbench\""));
         assert!(json.contains("\"results_match\": true"));
         assert!(json.contains("\"resume_matches\": true"));
         assert!(json.contains("\"snapshot_roundtrip\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = parse(&json).expect("the artifact parses");
+        for gate in ["results_match", "resume_matches", "snapshot_roundtrip"] {
+            assert_eq!(doc.get(gate), Some(&Json::Bool(true)), "{gate}");
+        }
     }
 
     /// Miniature batched scenario: small enough for debug-mode unit
@@ -1253,12 +1180,25 @@ mod tests {
             (TINY_SCALED.events - TINY_SCALED.log_horizon) as u64
         );
 
-        let json = scaled_section_json(&s);
+        let m = measure_with(TINY).expect("tiny fleet scenario measures");
+        let json = to_json(&m, &s);
         assert!(json.contains("\"results_match\": true"));
         assert!(json.contains("\"serial_equivalence\": true"));
         assert!(json.contains("\"cache_bounded\": true"));
-        assert!(json.ends_with("  }"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = parse(&json).expect("the artifact parses");
+        let scaled = doc.get("scaled").expect("nested scaled section");
+        for gate in [
+            "serial_equivalence",
+            "results_match",
+            "batching_cuts_waves",
+            "cache_bounded",
+        ] {
+            assert_eq!(scaled.get(gate), Some(&Json::Bool(true)), "{gate}");
+        }
+        assert_eq!(
+            scaled.get("coalesced_events").and_then(Json::as_f64),
+            Some(s.coalesced as f64)
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::harness::{fmt_f, fmt_pct, Report, Table};
 use crate::setups::{self, cold_estimators, EngineChoice};
 use std::time::Instant;
+use vda_core::jsonio::{write_pretty, Json};
 use vda_core::metrics::CostAccounting;
 use vda_core::placement::{
     assignment_objective, place_tenants, FleetOptions, MachineSpec, PlacementResult,
@@ -348,145 +349,98 @@ pub fn run_from(m: PlacementMeasurement) -> Report {
 /// Serialize both measurements as the `BENCH_placement.json`
 /// artifact: the homogeneous scenario's fields at the top level (as
 /// before), the heterogeneous scenario nested under
-/// `"heterogeneous"`.
+/// `"heterogeneous"`. Every field except the `wall_ms` ones is
+/// deterministic and gated by `check_bench`.
 pub fn to_json(bench: &PlacementBench) -> String {
     let m = &bench.homogeneous;
-    let assignment: Vec<String> = m.result.assignment.iter().map(usize::to_string).collect();
-    let per_machine: Vec<String> = (0..m.machines)
-        .map(|machine| {
-            let tenants: Vec<String> = m
-                .result
-                .tenants_on(machine)
-                .iter()
-                .map(|t| t.to_string())
-                .collect();
-            let cost = m.result.per_machine[machine]
-                .as_ref()
-                .map(|r| format!("{:.9}", r.weighted_cost))
-                .unwrap_or_else(|| "null".to_string());
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"machine\": {},\n",
-                    "      \"tenants\": [{}],\n",
-                    "      \"weighted_cost\": {}\n",
-                    "    }}"
+    let per_machine = (0..m.machines).map(|machine| {
+        let cost = m.result.per_machine[machine]
+            .as_ref()
+            .map_or(Json::Null, |r| r.weighted_cost.into());
+        Json::obj(vec![
+            ("machine", machine.into()),
+            ("tenants", Json::arr(&m.result.tenants_on(machine))),
+            ("weighted_cost", cost),
+        ])
+    });
+    let het = &bench.heterogeneous;
+    write_pretty(&Json::obj(vec![
+        ("experiment", "placement".into()),
+        ("workloads", m.workloads.into()),
+        ("machines", m.machines.into()),
+        ("space", "cpu_and_memory".into()),
+        ("delta", 0.05.into()),
+        ("wall_ms", m.wall_ms.into()),
+        ("assignment", Json::arr(&m.result.assignment)),
+        ("total_weighted_cost", m.result.total_weighted_cost.into()),
+        ("objective", m.result.objective.into()),
+        ("round_robin_objective", m.round_robin_objective.into()),
+        ("improvement", m.improvement().into()),
+        ("moves", m.result.moves.len().into()),
+        ("inner_solves", m.result.inner_solves.into()),
+        ("optimizer_calls", m.optimizer_calls.into()),
+        ("per_machine", Json::Arr(per_machine.collect())),
+        (
+            "heterogeneous",
+            Json::obj(vec![
+                ("workloads", het.workloads.into()),
+                ("machines", het.specs.len().into()),
+                ("big_machines", HET_BIG.into()),
+                ("small_machines", HET_SMALL.into()),
+                // Both resource dimensions are gated: an asymmetric
+                // scale change (cpu ≠ memory) must fail the gate too.
+                (
+                    "machine_scales_cpu",
+                    Json::Arr(het.specs.iter().map(|s| s.scale.cpu().into()).collect()),
                 ),
-                machine,
-                tenants.join(", "),
-                cost,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"placement\",\n",
-            "  \"workloads\": {},\n",
-            "  \"machines\": {},\n",
-            "  \"space\": \"cpu_and_memory\",\n",
-            "  \"delta\": 0.05,\n",
-            "  \"wall_ms\": {:.3},\n",
-            "  \"assignment\": [{}],\n",
-            "  \"total_weighted_cost\": {:.9},\n",
-            "  \"objective\": {:.9},\n",
-            "  \"round_robin_objective\": {:.9},\n",
-            "  \"improvement\": {:.6},\n",
-            "  \"moves\": {},\n",
-            "  \"inner_solves\": {},\n",
-            "  \"optimizer_calls\": {},\n",
-            "  \"per_machine\": [\n{}\n  ],\n",
-            "{}",
-            "}}\n"
+                (
+                    "machine_scales_memory",
+                    Json::Arr(het.specs.iter().map(|s| s.scale.memory().into()).collect()),
+                ),
+                ("wall_ms", het.wall_ms.into()),
+                ("assignment", Json::arr(&het.result.assignment)),
+                ("total_weighted_cost", het.result.total_weighted_cost.into()),
+                ("objective", het.result.objective.into()),
+                (
+                    "smallest_assumption_assignment",
+                    Json::arr(&het.smallest_assignment),
+                ),
+                (
+                    "smallest_assumption_objective",
+                    het.smallest_objective.into(),
+                ),
+                ("improvement", het.improvement().into()),
+                ("moves", het.result.moves.len().into()),
+                ("inner_solves", het.result.inner_solves.into()),
+                ("optimizer_calls", het.optimizer_calls.into()),
+                (
+                    "beats_smallest_assumption",
+                    (het.improvement() > 0.0).into(),
+                ),
+            ]),
         ),
-        m.workloads,
-        m.machines,
-        m.wall_ms,
-        assignment.join(", "),
-        m.result.total_weighted_cost,
-        m.result.objective,
-        m.round_robin_objective,
-        m.improvement(),
-        m.result.moves.len(),
-        m.result.inner_solves,
-        m.optimizer_calls,
-        per_machine.join(",\n"),
-        heterogeneous_json(&bench.heterogeneous),
-    )
+    ]))
 }
 
-/// The nested `"heterogeneous"` JSON section. Every field except
-/// `wall_ms` is deterministic and gated by `check_bench`.
-fn heterogeneous_json(m: &HeterogeneousMeasurement) -> String {
-    let assignment: Vec<String> = m.result.assignment.iter().map(usize::to_string).collect();
-    let smallest: Vec<String> = m.smallest_assignment.iter().map(usize::to_string).collect();
-    // Both resource dimensions are gated: an asymmetric scale change
-    // (cpu ≠ memory) must fail the gate too.
-    let cpu_scales: Vec<String> = m
-        .specs
-        .iter()
-        .map(|s| format!("{:.3}", s.scale.cpu()))
-        .collect();
-    let memory_scales: Vec<String> = m
-        .specs
-        .iter()
-        .map(|s| format!("{:.3}", s.scale.memory()))
-        .collect();
-    format!(
-        concat!(
-            "  \"heterogeneous\": {{\n",
-            "    \"workloads\": {},\n",
-            "    \"machines\": {},\n",
-            "    \"big_machines\": {},\n",
-            "    \"small_machines\": {},\n",
-            "    \"machine_scales_cpu\": [{}],\n",
-            "    \"machine_scales_memory\": [{}],\n",
-            "    \"wall_ms\": {:.3},\n",
-            "    \"assignment\": [{}],\n",
-            "    \"total_weighted_cost\": {:.9},\n",
-            "    \"objective\": {:.9},\n",
-            "    \"smallest_assumption_assignment\": [{}],\n",
-            "    \"smallest_assumption_objective\": {:.9},\n",
-            "    \"improvement\": {:.6},\n",
-            "    \"moves\": {},\n",
-            "    \"inner_solves\": {},\n",
-            "    \"optimizer_calls\": {},\n",
-            "    \"beats_smallest_assumption\": {}\n",
-            "  }}\n",
-        ),
-        m.workloads,
-        m.specs.len(),
-        HET_BIG,
-        HET_SMALL,
-        cpu_scales.join(", "),
-        memory_scales.join(", "),
-        m.wall_ms,
-        assignment.join(", "),
-        m.result.total_weighted_cost,
-        m.result.objective,
-        smallest.join(", "),
-        m.smallest_objective,
-        m.improvement(),
-        m.result.moves.len(),
-        m.result.inner_solves,
-        m.optimizer_calls,
-        m.improvement() > 0.0,
-    )
-}
-
-/// Measure both scenarios and write `BENCH_placement.json` to `path`.
-pub fn write_json(path: &str) -> std::io::Result<PlacementBench> {
+/// Measure both scenarios, write `BENCH_placement.json` to `path`,
+/// and return both rendered reports.
+pub fn write_json(path: &str) -> std::io::Result<String> {
     let bench = PlacementBench {
         homogeneous: measure(),
         heterogeneous: measure_heterogeneous(),
     };
     std::fs::write(path, to_json(&bench))?;
-    Ok(bench)
+    Ok(format!(
+        "{}\n{}",
+        run_from(bench.homogeneous),
+        run_heterogeneous_from(bench.heterogeneous)
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vda_core::jsonio::parse;
 
     #[test]
     fn fleet_scenario_beats_round_robin_and_is_feasible() {
@@ -557,7 +511,21 @@ mod tests {
         assert!(json.contains("\"heterogeneous\""));
         assert!(json.contains("\"smallest_assumption_objective\""));
         assert!(json.contains("\"beats_smallest_assumption\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = parse(&json).expect("the artifact parses");
+        let het = doc.get("heterogeneous").expect("nested section");
+        assert_eq!(
+            het.get("beats_smallest_assumption"),
+            Some(&Json::Bool(true))
+        );
+        assert_eq!(
+            het.get("machine_scales_cpu"),
+            Some(&Json::arr(&[0.5, 0.5, 1.0, 1.0]))
+        );
+        assert_eq!(
+            doc.get("per_machine")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(MACHINES)
+        );
     }
 }

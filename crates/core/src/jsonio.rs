@@ -1,26 +1,28 @@
-//! A minimal JSON value type, reader, and writer for durable state.
+//! A minimal JSON value type, reader, and writers for durable state.
 //!
 //! The vendored `serde` is a marker-only stub (ROADMAP: "nothing
-//! serializes yet"), so everything that persists — the `BENCH_*.json`
-//! artifacts and the control plane's [`crate::snapshot`] files — is
-//! written by hand-rolled formatters and read back by this hand-rolled
-//! recursive-descent parser. It supports exactly the JSON those
-//! writers emit: objects, arrays, strings (no escapes beyond `\"`,
-//! `\\`, `\n`, `\t`), numbers, booleans, and `null`.
+//! serializes yet"), so everything that persists is built as a [`Json`]
+//! value and printed here: the control plane's [`crate::snapshot`]
+//! files through the compact [`write()`], the `BENCH_*.json` artifacts
+//! through [`write_pretty`]. The hand-rolled recursive-descent
+//! [`parse`]r reads back exactly the JSON those writers emit: objects,
+//! arrays, strings (no escapes beyond `\"`, `\\`, `\n`, `\t`),
+//! numbers, booleans, and `null`.
 //!
 //! The CI bench-regression gate (`check_bench`) reads the
 //! `BENCH_*.json` baselines through it too.
 //!
 //! ## Exactness
 //!
-//! [`write()`] emits finite `f64`s with Rust's shortest-round-trip
+//! Both writers emit finite `f64`s with Rust's shortest-round-trip
 //! `Display`, and [`parse`] recovers them with `str::parse::<f64>()`
 //! — so a finite float survives a write → parse cycle **bit for
 //! bit**. Two deliberate gaps, handled by the schema layer rather
 //! than here:
 //!
-//! * Non-finite floats have no JSON literal. [`write()`] renders them
-//!   as `null`; callers that must round-trip `INFINITY` (e.g. an
+//! * Non-finite floats have no JSON literal. The writers render them
+//!   as `null`, and [`parse`] rejects numbers that overflow to
+//!   infinity; callers that must round-trip `INFINITY` (e.g. an
 //!   unset QoS degradation limit) encode a string sentinel instead.
 //! * `u64` values above 2^53 (fingerprints are full 64-bit hashes) do
 //!   not fit in [`Json::Num`]'s `f64` losslessly. Snapshots store
@@ -48,6 +50,21 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `members` in the given order.
+    pub fn obj(members: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// An array of scalar `items`, each converted with [`Into<Json>`].
+    pub fn arr<T: Copy + Into<Json>>(items: &[T]) -> Json {
+        Json::Arr(items.iter().map(|&x| x.into()).collect())
+    }
+
     /// Member of an object by key.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -148,6 +165,38 @@ impl fmt::Display for Json {
     }
 }
 
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
+/// Counts are exact as `f64` up to 2^53; full-width hashes go through
+/// [`Json::hex_u64`] instead.
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
 /// Serialize a [`Json`] value to a compact document the [`parse`]r
 /// round-trips exactly: finite floats via shortest-round-trip
 /// `Display` (integers without a trailing `.0`), strings with only
@@ -159,11 +208,62 @@ pub fn write(value: &Json) -> String {
     out
 }
 
-/// Format one `f64` exactly as [`write()`] would inside a document:
-/// shortest-round-trip digits for finite values, `null` for NaN and
-/// the infinities. This is the blessed spelling for code that emits
-/// floats into hand-assembled JSON (e.g. the bench artifact writers)
-/// instead of a bare `{}` placeholder.
+/// Serialize a [`Json`] value as an indented, diff-friendly document
+/// (the layout of the committed `BENCH_*.json` baselines), ending in a
+/// newline. Objects print one member per line with a two-space
+/// indent, arrays of scalars print inline (`[0, 2, 1]`), any other
+/// non-empty array prints one item per line. Scalars are spelled
+/// exactly as [`write()`] spells them, so [`parse`] inverts this too.
+pub fn write_pretty(value: &Json) -> String {
+    let mut out = String::new();
+    write_pretty_value(value, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+fn write_pretty_value(value: &Json, depth: usize, out: &mut String) {
+    let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match value {
+        Json::Obj(members) if !members.is_empty() => (
+            '{',
+            '}',
+            members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+        Json::Arr(items) if !items.is_empty() => {
+            ('[', ']', items.iter().map(|v| (None, v)).collect())
+        }
+        _ => return write_value(value, out),
+    };
+    let multiline = open == '{'
+        || items
+            .iter()
+            .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+    out.push(open);
+    for (i, (key, item)) in items.into_iter().enumerate() {
+        if multiline {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            out.push_str(&"  ".repeat(depth + 1));
+        } else if i > 0 {
+            out.push_str(", ");
+        }
+        if let Some(key) = key {
+            write_string(key, out);
+            out.push_str(": ");
+        }
+        write_pretty_value(item, depth + 1, out);
+    }
+    if multiline {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
+}
+
+/// Format one `f64` exactly as [`write()`] and [`write_pretty`] would
+/// inside a document: shortest-round-trip digits for finite values,
+/// `null` for NaN and the infinities. Use it where a human-readable
+/// label must show the same digits as the artifact (e.g. the `δ=`
+/// labels of the enumeration report) instead of a bare `{}`
+/// placeholder.
 pub fn fmt_f64(x: f64) -> String {
     let mut out = String::new();
     write_num(x, &mut out);
@@ -203,16 +303,13 @@ fn write_value(value: &Json, out: &mut String) {
 
 fn write_num(x: f64, out: &mut String) {
     use std::fmt::Write as _;
-    if !x.is_finite() {
-        out.push_str("null");
-    } else if x == x.trunc() && x.abs() < 1e15 {
-        // `{}` on a whole f64 prints without a decimal point ("3"),
-        // which the parser reads back as the same f64 — keep it.
+    if x.is_finite() {
+        // Shortest round-trip: `{}` for f64 guarantees
+        // `out.parse::<f64>() == x` bit for bit, and prints whole
+        // values without a decimal point ("3").
         let _ = write!(out, "{x}");
     } else {
-        // Shortest round-trip: `{}` for f64 guarantees
-        // `out.parse::<f64>() == x` bit for bit.
-        let _ = write!(out, "{x}");
+        out.push_str("null");
     }
 }
 
@@ -302,11 +399,15 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     {
         *pos += 1;
     }
+    // A literal that overflows to ±infinity is rejected: no writer
+    // emits one (they print non-finite values as `null`), so accepting
+    // it would break parse → write identity.
     std::str::from_utf8(&bytes[start..*pos])
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
+        .filter(|x| x.is_finite())
         .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+        .ok_or_else(|| format!("invalid or out-of-range number at byte {start}"))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -537,6 +638,42 @@ mod tests {
         let incoming = "{\"label\": \"δ grid\"}";
         let v = parse(incoming).unwrap();
         assert_eq!(v.get("label").and_then(Json::as_str), Some("δ grid"));
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected_and_underflow_is_kept() {
+        for doc in ["[1e999]", "[-1e999]", "[1e999, -1e999]", "1e309"] {
+            assert!(parse(doc).is_err(), "{doc} must not parse to infinity");
+        }
+        assert_eq!(parse("1e-999"), Ok(Json::Num(0.0)));
+    }
+
+    #[test]
+    fn write_pretty_parse_round_trips_structures() {
+        let doc = Json::obj(vec![
+            ("empty_obj", Json::Obj(vec![])),
+            ("empty_arr", Json::Arr(vec![])),
+            (
+                "rows",
+                Json::Arr(vec![
+                    Json::obj(vec![("a", 1u64.into()), ("b", Json::arr(&[0.5, -2.0]))]),
+                    Json::obj(vec![("nested", Json::obj(vec![("c", Json::Null)]))]),
+                ]),
+            ),
+            ("inline", Json::arr(&[0u64, 2, 1])),
+            ("null", Json::Null),
+            ("flag", true.into()),
+            ("s", "say \"hi\", back\\slash\nnewline".into()),
+        ]);
+        let text = write_pretty(&doc);
+        assert_eq!(parse(&text), Ok(doc));
+        assert!(text.contains("\n  \"inline\": [0, 2, 1],\n"), "{text}");
+        assert!(text.contains("\n  \"empty_obj\": {},\n"), "{text}");
+        assert!(
+            text.contains("\n  \"rows\": [\n    {\n      \"a\": 1,\n"),
+            "{text}"
+        );
+        assert!(text.ends_with("\n}\n"), "{text}");
     }
 
     #[test]

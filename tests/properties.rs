@@ -202,7 +202,8 @@ proptest! {
     /// The serialization contract over the *entire* f64 bit space:
     /// any finite bit pattern — normal, subnormal, signed zero —
     /// written by jsonio parses back to the identical bits, and the
-    /// non-finite patterns all collapse to the null sentinel. Two u32
+    /// non-finite patterns all collapse to the null sentinel. All three
+    /// spellings (`write`, `write_pretty` trimmed, `fmt_f64`) agree. Two u32
     /// draws make up the u64 (the full-width `0..=u64::MAX` range
     /// strategy would overflow its span arithmetic).
     #[test]
@@ -215,6 +216,7 @@ proptest! {
         let x = f64::from_bits(bits);
         let written = jsonio::write(&Json::Num(x));
         prop_assert_eq!(&written, &jsonio::fmt_f64(x));
+        prop_assert_eq!(written.as_str(), jsonio::write_pretty(&Json::Num(x)).trim_end());
         if x.is_finite() {
             let back = jsonio::parse(&written).unwrap();
             let y = back.as_f64().unwrap();
