@@ -1122,16 +1122,6 @@ mod tests {
             "drift events must hit the warm delta-solve path, got {:?}",
             m.warm_solve_stats
         );
-
-        let json = to_json(&m, &measure_scaled_with(TINY_SCALED));
-        assert!(json.contains("\"experiment\": \"fleetbench\""));
-        assert!(json.contains("\"results_match\": true"));
-        assert!(json.contains("\"resume_matches\": true"));
-        assert!(json.contains("\"snapshot_roundtrip\": true"));
-        let doc = parse(&json).expect("the artifact parses");
-        for gate in ["results_match", "resume_matches", "snapshot_roundtrip"] {
-            assert_eq!(doc.get(gate), Some(&Json::Bool(true)), "{gate}");
-        }
     }
 
     /// Miniature batched scenario: small enough for debug-mode unit
@@ -1179,13 +1169,23 @@ mod tests {
             s.log_dropped_per_event,
             (TINY_SCALED.events - TINY_SCALED.log_horizon) as u64
         );
+    }
 
+    #[test]
+    fn tiny_artifact_nests_the_scaled_section() {
         let m = measure_with(TINY).expect("tiny fleet scenario measures");
+        let s = measure_scaled_with(TINY_SCALED);
         let json = to_json(&m, &s);
+        assert!(json.contains("\"experiment\": \"fleetbench\""));
         assert!(json.contains("\"results_match\": true"));
+        assert!(json.contains("\"resume_matches\": true"));
+        assert!(json.contains("\"snapshot_roundtrip\": true"));
         assert!(json.contains("\"serial_equivalence\": true"));
         assert!(json.contains("\"cache_bounded\": true"));
         let doc = parse(&json).expect("the artifact parses");
+        for gate in ["results_match", "resume_matches", "snapshot_roundtrip"] {
+            assert_eq!(doc.get(gate), Some(&Json::Bool(true)), "{gate}");
+        }
         let scaled = doc.get("scaled").expect("nested scaled section");
         for gate in [
             "serial_equivalence",

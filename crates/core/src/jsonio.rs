@@ -172,16 +172,17 @@ impl From<f64> for Json {
 }
 
 /// Counts are exact as `f64` up to 2^53; full-width hashes go through
-/// [`Json::hex_u64`] instead.
+/// [`Json::hex_u64`] instead, and debug builds reject anything larger.
 impl From<u64> for Json {
     fn from(n: u64) -> Json {
+        debug_assert!(n <= 1 << 53, "{n} is not exact as f64; use Json::hex_u64");
         Json::Num(n as f64)
     }
 }
 
 impl From<usize> for Json {
     fn from(n: usize) -> Json {
-        Json::Num(n as f64)
+        Json::from(n as u64)
     }
 }
 
@@ -497,6 +498,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not exact as f64")]
+    fn counts_above_2_pow_53_are_rejected() {
+        let _ = Json::from((1u64 << 53) + 1);
+    }
 
     #[test]
     fn parses_the_bench_artifact_shape() {

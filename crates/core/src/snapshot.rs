@@ -157,7 +157,7 @@ impl FleetSnapshot {
             self.registry
                 .iter()
                 .map(|(hw, kind, model)| {
-                    obj(vec![
+                    Json::obj(vec![
                         ("hardware", Json::hex_u64(*hw)),
                         ("kind", kind_to_json(*kind)),
                         ("model", model_to_json(model)),
@@ -169,7 +169,7 @@ impl FleetSnapshot {
             self.probes
                 .iter()
                 .map(|(model, tenant, key, est)| {
-                    obj(vec![
+                    Json::obj(vec![
                         ("model", Json::hex_u64(*model)),
                         ("tenant", Json::hex_u64(*tenant)),
                         (
@@ -184,7 +184,7 @@ impl FleetSnapshot {
         let log = Json::Arr(self.log.iter().map(decision_to_json).collect());
         let adaption = Json::Arr(self.adaption.iter().map(adaption_store_to_json).collect());
         let tuners = Json::Arr(self.tuners.iter().map(tuner_to_json).collect());
-        let root = obj(vec![
+        let root = Json::obj(vec![
             ("format", Json::Str(FORMAT.to_string())),
             ("version", Json::Num(VERSION)),
             ("seq", Json::Num(self.seq as f64)),
@@ -286,21 +286,12 @@ impl FleetSnapshot {
 // Building blocks: writers
 // ----------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn machine_to_json(m: &MachineSnapshot) -> Json {
     let calibrations = Json::Arr(
         m.calibrations
             .iter()
             .map(|(kind, model)| {
-                obj(vec![
+                Json::obj(vec![
                     ("kind", kind_to_json(*kind)),
                     ("model", model_to_json(model)),
                 ])
@@ -309,7 +300,7 @@ fn machine_to_json(m: &MachineSnapshot) -> Json {
     );
     let warm = match &m.warm {
         None => Json::Null,
-        Some(w) => obj(vec![
+        Some(w) => Json::obj(vec![
             ("key", Json::hex_u64(w.key)),
             (
                 "fingerprints",
@@ -323,7 +314,7 @@ fn machine_to_json(m: &MachineSnapshot) -> Json {
         ]),
     };
     let (cold, delta, reuses) = m.warm_counters;
-    obj(vec![
+    Json::obj(vec![
         ("hardware", Json::hex_u64(m.hardware)),
         (
             "tenants",
@@ -355,7 +346,7 @@ fn alloc_to_json(a: &Allocation) -> Json {
 }
 
 fn result_to_json(r: &SearchResult) -> Json {
-    obj(vec![
+    Json::obj(vec![
         (
             "allocations",
             Json::Arr(r.allocations.iter().map(alloc_to_json).collect()),
@@ -372,7 +363,7 @@ fn result_to_json(r: &SearchResult) -> Json {
                 r.trace
                     .iter()
                     .map(|s| {
-                        obj(vec![
+                        Json::obj(vec![
                             ("resource", Json::Num(s.resource.index() as f64)),
                             ("winner", Json::Num(s.winner as f64)),
                             ("loser", Json::Num(s.loser as f64)),
@@ -390,7 +381,7 @@ fn result_to_json(r: &SearchResult) -> Json {
 }
 
 fn estimate_to_json(e: &Estimate) -> Json {
-    obj(vec![
+    Json::obj(vec![
         ("seconds", Json::Num(e.seconds)),
         ("plan_regime", Json::hex_u64(e.plan_regime)),
         (
@@ -401,7 +392,7 @@ fn estimate_to_json(e: &Estimate) -> Json {
 }
 
 fn fit_to_json(f: &LinearFit) -> Json {
-    obj(vec![
+    Json::obj(vec![
         ("intercept", Json::Num(f.intercept)),
         ("slope", Json::Num(f.slope)),
         ("r_squared", Json::Num(f.r_squared)),
@@ -414,17 +405,17 @@ fn model_to_json(m: &CalibratedModel) -> Json {
             tuple,
             operator,
             index_tuple,
-        } => obj(vec![
+        } => Json::obj(vec![
             ("variant", Json::Str("pg".to_string())),
             ("tuple", fit_to_json(tuple)),
             ("operator", fit_to_json(operator)),
             ("index_tuple", fit_to_json(index_tuple)),
         ]),
-        CpuFits::Db2 { cpuspeed } => obj(vec![
+        CpuFits::Db2 { cpuspeed } => Json::obj(vec![
             ("variant", Json::Str("db2".to_string())),
             ("cpuspeed", fit_to_json(cpuspeed)),
         ]),
-        CpuFits::Tuple { scan, op, index } => obj(vec![
+        CpuFits::Tuple { scan, op, index } => Json::obj(vec![
             ("variant", Json::Str("tuple".to_string())),
             ("scan", fit_to_json(scan)),
             ("op", fit_to_json(op)),
@@ -432,36 +423,36 @@ fn model_to_json(m: &CalibratedModel) -> Json {
         ]),
     };
     let io = match m.io {
-        IoConstants::Pg { random_page_cost } => obj(vec![
+        IoConstants::Pg { random_page_cost } => Json::obj(vec![
             ("variant", Json::Str("pg".to_string())),
             ("random_page_cost", Json::Num(random_page_cost)),
         ]),
         IoConstants::Db2 {
             overhead_ms,
             transfer_rate_ms,
-        } => obj(vec![
+        } => Json::obj(vec![
             ("variant", Json::Str("db2".to_string())),
             ("overhead_ms", Json::Num(overhead_ms)),
             ("transfer_rate_ms", Json::Num(transfer_rate_ms)),
         ]),
-        IoConstants::Tuple { page, seek } => obj(vec![
+        IoConstants::Tuple { page, seek } => Json::obj(vec![
             ("variant", Json::Str("tuple".to_string())),
             ("page", Json::Num(page)),
             ("seek", Json::Num(seek)),
         ]),
     };
     let renorm = match m.renorm {
-        Renormalizer::SecondsPerUnit { secs_per_unit } => obj(vec![
+        Renormalizer::SecondsPerUnit { secs_per_unit } => Json::obj(vec![
             ("variant", Json::Str("seconds_per_unit".to_string())),
             ("secs_per_unit", Json::Num(secs_per_unit)),
         ]),
-        Renormalizer::Regression { slope, intercept } => obj(vec![
+        Renormalizer::Regression { slope, intercept } => Json::obj(vec![
             ("variant", Json::Str("regression".to_string())),
             ("slope", Json::Num(slope)),
             ("intercept", Json::Num(intercept)),
         ]),
     };
-    obj(vec![
+    Json::obj(vec![
         ("kind", kind_to_json(m.kind)),
         ("machine_mem_mb", Json::Num(m.machine_mem_mb)),
         ("cpu_fits", cpu_fits),
@@ -473,7 +464,7 @@ fn model_to_json(m: &CalibratedModel) -> Json {
         ("renorm", renorm),
         (
             "cost",
-            obj(vec![
+            Json::obj(vec![
                 ("simulated_seconds", Json::Num(m.cost.simulated_seconds)),
                 (
                     "vm_configurations",
@@ -490,7 +481,7 @@ fn model_to_json(m: &CalibratedModel) -> Json {
 }
 
 fn adaption_to_json(a: &Adaption) -> Json {
-    obj(vec![
+    Json::obj(vec![
         ("scale", Json::Num(a.correction.scale)),
         // detlint:allow(axis-compat, reason = "AxisCorrection's own coefficient field, not an Allocation axis")
         ("cpu", Json::Num(a.correction.cpu)),
@@ -508,7 +499,7 @@ fn adaption_store_to_json(s: &AdaptionSnapshot) -> Json {
         s.rows
             .iter()
             .map(|(tenant, key, epoch, predicted, actual)| {
-                obj(vec![
+                Json::obj(vec![
                     ("tenant", Json::hex_u64(*tenant)),
                     ("key", key_to_json(key)),
                     ("epoch", Json::Num(*epoch as f64)),
@@ -518,7 +509,7 @@ fn adaption_store_to_json(s: &AdaptionSnapshot) -> Json {
             })
             .collect(),
     );
-    obj(vec![
+    Json::obj(vec![
         ("hardware", Json::hex_u64(s.hardware)),
         ("kind", kind_to_json(s.kind)),
         ("epoch", Json::Num(s.epoch as f64)),
@@ -528,7 +519,7 @@ fn adaption_store_to_json(s: &AdaptionSnapshot) -> Json {
 }
 
 fn accumulator_to_json(a: &ErrorAccumulator) -> Json {
-    obj(vec![
+    Json::obj(vec![
         ("candidate_abs", Json::Num(a.candidate_abs)),
         ("incumbent_abs", Json::Num(a.incumbent_abs)),
         ("samples", Json::Num(a.samples as f64)),
@@ -537,7 +528,7 @@ fn accumulator_to_json(a: &ErrorAccumulator) -> Json {
 
 fn tuner_to_json(t: &TunerSnapshot) -> Json {
     let e = &t.tracker;
-    obj(vec![
+    Json::obj(vec![
         ("hardware", Json::hex_u64(t.hardware)),
         ("kind", kind_to_json(t.kind)),
         ("state", Json::Str(e.state.name().to_string())),
@@ -565,7 +556,7 @@ fn decision_to_json(d: &Decision) -> Json {
         d.migrations
             .iter()
             .map(|m| {
-                obj(vec![
+                Json::obj(vec![
                     ("tenant", Json::Str(m.tenant.clone())),
                     ("from", Json::Num(m.from as f64)),
                     ("to", Json::Num(m.to as f64)),
@@ -575,7 +566,7 @@ fn decision_to_json(d: &Decision) -> Json {
             })
             .collect(),
     );
-    obj(vec![
+    Json::obj(vec![
         ("seq", Json::Num(d.seq as f64)),
         ("action", Json::Str(d.action.clone())),
         (
